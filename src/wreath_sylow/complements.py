@@ -44,15 +44,10 @@ from .tower import (
     scale_gens,
     shift_gen,
     shift_gens,
-    tail_action_matrices,
+    tail_coordinate_perms,
     tail_image,
 )
-from .uniserial import (
-    STYLE_CO_SHIFT,
-    choose_levels,
-    socle_coordinates,
-    summand_ranks,
-)
+from .uniserial import STYLE_CO_SHIFT, levels_from_socle, module_invariants
 
 REASON_NOT_SUMMAND = "not_direct_summand"
 REASON_SOCLE_GAP = "socle_gap"
@@ -82,10 +77,9 @@ def tail_commutator_exponent(tower: Tower, j: int) -> int:
 def closure_handle(tower: Tower, gens: Iterable[Perm]) -> NormalClosure:
     gens = tuple(gens)
     j = depth(tower, gens)
-    actions = tail_action_matrices(tower, j)
     dim = (tower.n - j) * tower.p**j
     seeds = [tail_image(tower, j, g).coords for g in gens]
-    image = spin(tower.p, dim, seeds, actions)
+    image = spin(tower.p, dim, seeds, tail_coordinate_perms(tower, j))
     return NormalClosure(
         tower, gens, j, image, tail_commutator_exponent(tower, j) + image.rank
     )
@@ -115,25 +109,25 @@ def decide(handle: NormalClosure) -> Decision:
 
     The trivial subgroup (depth n) gets the whole tower as its complement,
     in co_shift shape with an empty level set; the whole tower flows
-    through the generic path and gets the trivial complement the same way.
+    through the general path and gets the trivial complement the same way.
+    The image is invariant by construction, so it is not checked again.
     """
     tw, j = handle.tower, handle.j
     if j == tw.n:
         return Decision(True, STYLE_CO_SHIFT, (), tuple(shift_gens(tw)))
-    mod_aug, soc_rank = summand_ranks(tw, j, handle.image)
-    if mod_aug != soc_rank:
+    mod_aug, soc = module_invariants(tw, j, handle.image)
+    if mod_aug != soc.rank:
         return Decision(
             False,
             reason=REASON_NOT_SUMMAND,
             data={
                 "rank_mod_augmentation": mod_aug,
-                "socle_rank": soc_rank,
+                "socle_rank": soc.rank,
                 "image_rank": handle.image.rank,
             },
         )
-    choice = choose_levels(tw, j, handle.image)
+    choice = levels_from_socle(tw, j, soc)
     if choice is None:
-        soc = socle_coordinates(tw, j, handle.image)
         return Decision(
             False,
             reason=REASON_SOCLE_GAP,

@@ -35,6 +35,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .linalg import Matrix, perm_action_matrix, permute
 from .perm import Perm, conjugate
 
 
@@ -410,56 +411,28 @@ def block_map(tower: Tower, j: int, g: Perm) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _coordinate_perm(tower: Tower, j: int, g: Perm) -> tuple[int, ...]:
+    bm = block_map(tower, j, g)
+    return tuple(s * len(bm) + t for s in range(tower.n - j) for t in bm)
+
+
 def tail_action(tower: Tower, j: int, g: Perm, v: TailVector) -> TailVector:
     """Permute the block coordinates of v by the block action of g."""
-    bm = block_map(tower, j, g)
-    inv = [0] * len(bm)
-    for b, t in enumerate(bm):
-        inv[t] = b
-    coords = []
-    for s in range(v.levels):
-        row = v.summand(s)
-        coords.extend(row[inv[b]] for b in range(v.blocks))
-    return TailVector(v.p, v.n, v.j, tuple(coords))
+    return TailVector(v.p, v.n, v.j, permute(v.coords, _coordinate_perm(tower, j, g)))
 
 
-def tail_action_matrices(tower: Tower, j: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The first j shift generators as 0/1 matrices on tail-vector coordinates.
+def tail_coordinate_perms(tower: Tower, j: int) -> list[tuple[int, ...]]:
+    """The first j shift generators as permutations of tail-vector coordinates.
 
-    Row k of a matrix is the image of basis vector k; suitable for the
-    linalg helpers (spin, fixed and augmentation subspaces).
+    Entry k is the coordinate that basis vector k moves to, the convention
+    of ``linalg.perm_action_matrix``.
     """
-    blocks = tower.p**j
-    dim = (tower.n - j) * blocks
-    mats = []
-    for i in range(j):
-        bm = block_map(tower, j, shift_gen(tower, i))
-        rows = []
-        for k in range(dim):
-            s, b = divmod(k, blocks)
-            row = [0] * dim
-            row[s * blocks + bm[b]] = 1
-            rows.append(tuple(row))
-        mats.append(tuple(rows))
-    return mats
+    return [_coordinate_perm(tower, j, shift_gen(tower, i)) for i in range(j)]
 
 
-def point_action_matrices(tower: Tower) -> list[tuple[tuple[int, ...], ...]]:
-    """The shift generators as permutation matrices on F_p^(p^n).
-
-    This is the natural permutation module of the tower; row k of each
-    matrix is the basis vector indexed by the image of point k.
-    """
-    dim = tower.degree
-    mats = []
-    for g in shift_gens(tower):
-        rows = []
-        for k in range(dim):
-            row = [0] * dim
-            row[g.images[k]] = 1
-            rows.append(tuple(row))
-        mats.append(tuple(rows))
-    return mats
+def point_action_matrices(tower: Tower) -> list[Matrix]:
+    """The shift generators as permutation matrices: the natural module F_p^(p^n)."""
+    return [perm_action_matrix(g.images, tower.p) for g in shift_gens(tower)]
 
 
 def depth(tower: Tower, gens: Iterable[Perm]) -> int:

@@ -15,9 +15,11 @@ this module:
 - a *level choice*: a set Z of digit levels whose full summands complement
   U, preferring choices that avoid level j itself.
 
-The per-summand augmentation subspace is the sum-zero hyperplane and the
-per-summand fixed space is the diagonal line, because the prefix group
-permutes the blocks transitively.
+The prefix group permutes the blocks transitively, so the per-summand
+augmentation subspace is the sum-zero hyperplane and the per-summand fixed
+space is the diagonal line.  These closed forms are what is computed (see
+module_invariants); the generic fixed and augmentation solves in linalg
+remain only as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Subspace, augmentation_subspace, fixed_subspace, spin
-from .tower import TailVector, Tower, tail_action_matrices
+from .linalg import Subspace, left_kernel, permute, spin
+from .tower import TailVector, Tower, tail_coordinate_perms
 
 # which complement the engine builds from a level choice
 STYLE_CO_SHIFT = "co_shift"  # prefix gens plus co-shifts at the chosen levels
@@ -53,11 +55,33 @@ def level_sums(v: TailVector) -> tuple[int, ...]:
     return tuple(sum(v.summand(s)) % v.p for s in range(v.levels))
 
 
-def _require_invariant(tower: Tower, j: int, u: Subspace, actions) -> None:
+def _require_invariant(tower: Tower, j: int, u: Subspace) -> None:
     if u.dim != (tower.n - j) * tower.p**j:
         raise ValueError(f"subspace dim {u.dim} does not match level {j}")
-    if spin(u.p, u.dim, u.rows, actions) != u:
-        raise ValueError("subspace is not invariant under the prefix action")
+    ech = u._ech()
+    for q in tail_coordinate_perms(tower, j):
+        if not all(ech.contains(permute(row, q)) for row in u.rows):
+            raise ValueError("subspace is not invariant under the prefix action")
+
+
+def module_invariants(tower: Tower, j: int, u: Subspace) -> tuple[int, Subspace]:
+    """(rank of u modulo the augmentation subspace, socle coordinates of u).
+
+    For an invariant u (not checked).  The augmentation is the kernel of
+    level_sums; a combination of the level diagonals lies in u iff the same
+    combination of their residuals modulo u vanishes.
+    """
+    p, m, blocks = tower.p, tower.n - j, tower.p**j
+    sums = [level_sums(TailVector(p, tower.n, j, row)) for row in u.rows]
+    ech = u._ech()
+    residuals = [
+        ech.residual([0] * (s * blocks) + [1] * blocks + [0] * ((m - 1 - s) * blocks))
+        for s in range(m)
+    ]
+    return (
+        Subspace.span(p, m, sums).rank,
+        Subspace.span(p, m, left_kernel(residuals, p, u.dim)),
+    )
 
 
 def socle_coordinates(tower: Tower, j: int, u: Subspace) -> Subspace:
@@ -66,13 +90,8 @@ def socle_coordinates(tower: Tower, j: int, u: Subspace) -> Subspace:
     A fixed vector is constant on the blocks of each level; coordinate s of
     its image is that constant at level s.
     """
-    actions = tail_action_matrices(tower, j)
-    _require_invariant(tower, j, u, actions)
-    blocks = tower.p**j
-    fixed = u.intersect(fixed_subspace(u.p, u.dim, actions))
-    return Subspace.span(
-        u.p, tower.n - j, [row[::blocks] for row in fixed.rows]
-    )
+    _require_invariant(tower, j, u)
+    return module_invariants(tower, j, u)[1]
 
 
 def summand_ranks(tower: Tower, j: int, u: Subspace) -> tuple[int, int]:
@@ -81,12 +100,9 @@ def summand_ranks(tower: Tower, j: int, u: Subspace) -> tuple[int, int]:
     The two numbers agree exactly on direct summands, where both count the
     full-length uniserial constituents.
     """
-    actions = tail_action_matrices(tower, j)
-    _require_invariant(tower, j, u, actions)
-    aug = augmentation_subspace(u.p, u.dim, actions)
-    mod_aug = u.sum_with(aug).rank - aug.rank
-    soc = u.intersect(fixed_subspace(u.p, u.dim, actions)).rank
-    return mod_aug, soc
+    _require_invariant(tower, j, u)
+    mod_aug, soc = module_invariants(tower, j, u)
+    return mod_aug, soc.rank
 
 
 def is_direct_summand(tower: Tower, j: int, u: Subspace) -> bool:
@@ -105,15 +121,15 @@ def generates_uniserial(tower: Tower, v: TailVector) -> bool:
         i.e. its block sum is nonzero.
     True iff some summand passes both.
     """
-    actions = tail_action_matrices(tower, v.j)
+    perms = tail_coordinate_perms(tower, v.j)
     if not any(x % v.p for x in v.coords):
         return False
-    full = spin(v.p, v.dim, [v.coords], actions).rank
+    full = spin(v.p, v.dim, [v.coords], perms).rank
     for s in range(v.levels):
         if sum(v.summand(s)) % v.p == 0:
             continue
         alone = v.with_only_summand(s)
-        if spin(v.p, v.dim, [alone.coords], actions).rank == full:
+        if spin(v.p, v.dim, [alone.coords], perms).rank == full:
             return True
     return False
 
@@ -135,10 +151,14 @@ def summand_subspace(tower: Tower, j: int, levels) -> Subspace:
 
 
 def choose_levels(tower: Tower, j: int, u: Subspace) -> Optional[LevelChoice]:
-    """Pick complementing levels for a direct summand u, or report that none work.
+    """levels_from_socle of u's socle coordinates; u must be a direct summand."""
+    return levels_from_socle(tower, j, socle_coordinates(tower, j, u))
 
-    With S the socle coordinates of u and E the span of the coordinates
-    above level j:
+
+def levels_from_socle(tower: Tower, j: int, soc: Subspace) -> Optional[LevelChoice]:
+    """Pick complementing levels for a direct summand, or report that none work.
+
+    With S the socle coordinates and E the span of the coordinates above level j:
 
     - S not inside E: there is a choice avoiding level j; return the
       lexicographically smallest Z in {j+1, ..., n-1} with span(e_i, i in Z)
@@ -148,11 +168,9 @@ def choose_levels(tower: Tower, j: int, u: Subspace) -> Optional[LevelChoice]:
     - S strictly inside E: no full-summand complement respects the
       constraint, and the engine reports no complement at all.
 
-    Requires is_direct_summand(u); on a non-summand the socle is too big
-    and the returned levels would not complement.
+    On a non-summand the socle is too big and the levels would not complement.
     """
     m = tower.n - j
-    soc = socle_coordinates(tower, j, u)
     in_e = all(row[0] == 0 for row in soc.rows)
     if not in_e:
         # greedy from the smallest index; S + E is everything, so this fills up

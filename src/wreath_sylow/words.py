@@ -18,6 +18,8 @@ import re
 from .perm import Perm, conjugate, parse_cycles
 from .tower import Tower, co_shift_gen, scale_gen, shift_gen
 
+MAX_NESTING = 100  # parentheses and inverses; keeps the recursion off the stack limit
+
 _TOKEN = re.compile(r"\s*(?:(?P<name>[ser]\d+)|(?P<op>[*^~()]))")
 
 
@@ -40,6 +42,7 @@ class _Parser:
         self.tower = tower
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -71,14 +74,15 @@ class _Parser:
 
     def unary(self) -> Perm:
         tok = self.peek()
-        if tok == "~":
+        if tok in ("~", "("):
             self.take()
-            return self.unary().inverse()
-        if tok == "(":
-            self.take()
-            out = self.product()
-            if self.take() != ")":
+            self.nesting += 1
+            if self.nesting > MAX_NESTING:
+                raise ValueError(f"word nested deeper than {MAX_NESTING} levels")
+            out = self.unary().inverse() if tok == "~" else self.product()
+            if tok == "(" and self.take() != ")":
                 raise ValueError("unbalanced parentheses")
+            self.nesting -= 1
             return out
         if tok is None or tok in "*^)":
             raise ValueError(f"expected a generator, found {tok!r}")

@@ -207,6 +207,15 @@ def test_cli_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_cli_deep_nesting_is_a_usage_error(capsys):
+    for word in ("(" * 1200 + "s0" + ")" * 1200, "~" * 1200 + "s0"):
+        assert main(["decide", "--p", "2", "--n", "3", "--gens", word]) == 2
+        assert "nested deeper" in capsys.readouterr().err
+    # nesting within the limit still parses
+    assert parse_word(T33, "(" * 100 + "s0" + ")" * 100) == ws.shift_gen(T33, 0)
+    assert parse_word(T33, "~" * 99 + "(s0)") == ws.shift_gen(T33, 0).inverse()
+
+
 def test_cli_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("WREATH_SYLOW_BFS_CAP", "4")
     code = main(["oracle", "abelian-max", "--p", "2", "--n", "2"])

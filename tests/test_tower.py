@@ -17,7 +17,7 @@ from wreath_sylow.tower import (
     random_element,
     rotation_subgroup_gens,
     tail_action,
-    tail_action_matrices,
+    tail_coordinate_perms,
 )
 
 T33 = ws.tower(3, 3)
@@ -321,5 +321,5 @@ def test_point_action_matrices_shape():
     assert len(mats[0]) == 4
 
 
-def test_tail_action_matrices_level0():
-    assert tail_action_matrices(T33, 0) == []
+def test_tail_coordinate_perms_level0():
+    assert tail_coordinate_perms(T33, 0) == []

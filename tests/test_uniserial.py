@@ -1,19 +1,29 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import wreath_sylow as ws
-from wreath_sylow.linalg import Subspace, spin
+from wreath_sylow.linalg import (
+    Subspace,
+    augmentation_subspace,
+    fixed_subspace,
+    perm_action_matrix,
+    spin,
+)
 from wreath_sylow.perm import conjugate
-from wreath_sylow.tower import TailVector, random_element, tail_action_matrices
+from wreath_sylow.tower import TailVector, block_map, random_element, tail_coordinate_perms
 from wreath_sylow.uniserial import (
     STYLE_CO_SHIFT,
     STYLE_PREFIX,
+    LevelChoice,
     choose_levels,
     generates_uniserial,
     is_direct_summand,
     level_sums,
     socle_coordinates,
+    summand_ranks,
     summand_subspace,
 )
 
@@ -28,7 +38,7 @@ def gamma_shift2_vector():
 
 
 def closure_image(tw, j, v):
-    return spin(tw.p, v.dim, [v.coords], tail_action_matrices(tw, j))
+    return spin(tw.p, v.dim, [v.coords], tail_coordinate_perms(tw, j))
 
 
 def example_11_1_vector():
@@ -100,8 +110,8 @@ def test_generates_uniserial_rejects_11_1_vector():
     # the projection condition fails at the summand outside the augmentation
     assert sum(v.summand(0)) % 3 != 0
     assert sum(v.summand(1)) % 3 == 0
-    full = spin(3, 18, [v.coords], tail_action_matrices(T34, 2)).rank
-    alone = spin(3, 18, [v.with_only_summand(0).coords], tail_action_matrices(T34, 2)).rank
+    full = spin(3, 18, [v.coords], tail_coordinate_perms(T34, 2)).rank
+    alone = spin(3, 18, [v.with_only_summand(0).coords], tail_coordinate_perms(T34, 2)).rank
     assert alone < full
     assert not generates_uniserial(T34, v)
 
@@ -153,7 +163,7 @@ def test_choose_levels_socle_gap():
 def test_choose_levels_diagonal_pair():
     # socle line through both coordinates: only the level-2 summand complements
     nbar_plus = spin(
-        3, 6, [(1, 0, 0, 1, 0, 0)], tail_action_matrices(T33, 1)
+        3, 6, [(1, 0, 0, 1, 0, 0)], tail_coordinate_perms(T33, 1)
     )
     choice = choose_levels(T33, 1, nbar_plus)
     assert choice.style == STYLE_CO_SHIFT and choice.levels == (2,)
@@ -171,13 +181,13 @@ def test_summand_subspace_complements_choice():
     rng = random.Random(9)
     for tw, j in [(T33, 0), (T33, 1), (ws.tower(2, 3), 1), (T34, 2)]:
         dim = (tw.n - j) * tw.p**j
-        actions = tail_action_matrices(tw, j)
+        perms = tail_coordinate_perms(tw, j)
         for _ in range(25):
             seeds = [
                 ws.tail_image(tw, j, _random_tail(tw, j, rng)).coords
                 for _ in range(rng.randrange(1, 3))
             ]
-            u = spin(tw.p, dim, seeds, actions)
+            u = spin(tw.p, dim, seeds, perms)
             if not is_direct_summand(tw, j, u):
                 continue
             choice = choose_levels(tw, j, u)
@@ -216,3 +226,77 @@ def test_summand_subspace_rejects_bad_levels():
         summand_subspace(T33, 1, (0,))
     with pytest.raises(ValueError):
         summand_subspace(T33, 1, (3,))
+
+
+def _dense_tail_matrices(tw, j):
+    """The 0/1 matrices of the first j shift generators on tail coordinates.
+
+    Reference copy of the dense construction the engine used before it
+    acted by coordinate permutations: row k is the image of basis vector k.
+    """
+    blocks = tw.p**j
+    dim = (tw.n - j) * blocks
+    mats = []
+    for i in range(j):
+        bm = block_map(tw, j, ws.shift_gen(tw, i))
+        rows = []
+        for k in range(dim):
+            s, b = divmod(k, blocks)
+            row = [0] * dim
+            row[s * blocks + bm[b]] = 1
+            rows.append(tuple(row))
+        mats.append(tuple(rows))
+    return mats
+
+
+def _reference_levels(tw, j, soc):
+    """choose_levels by search: the first complementing Z in lexicographic order."""
+    m = tw.n - j
+
+    def units(ts):
+        return Subspace.span(tw.p, m, [[1 if k == t else 0 for k in range(m)] for t in ts])
+
+    for z in itertools.combinations(range(1, m), m - soc.rank):
+        e_z = units(z)
+        if e_z.intersect(soc).rank == 0 and e_z.sum_with(soc).rank == m:
+            return LevelChoice(tuple(j + t for t in z), STYLE_CO_SHIFT)
+    if soc == units(range(1, m)):
+        return LevelChoice((j,), STYLE_PREFIX)
+    return None
+
+
+def test_closed_forms_match_generic_reference():
+    # random closures at every depth; the invariants computed in closed form
+    # must equal the generic fixed/augmentation solves over dense matrices
+    rng = random.Random(1)
+    kinds = Counter()
+    for p, n in [(2, 3), (2, 4), (3, 3), (3, 4), (5, 2)]:
+        tw = ws.tower(p, n)
+        for j in range(n):
+            m, blocks = n - j, p**j
+            dim = m * blocks
+            perms = tail_coordinate_perms(tw, j)
+            mats = [perm_action_matrix(q, p) for q in perms]
+            assert mats == _dense_tail_matrices(tw, j)
+            fix = fixed_subspace(p, dim, mats)
+            aug = augmentation_subspace(p, dim, mats)
+            for _ in range(10):
+                seeds = [
+                    ws.tail_image(tw, j, _random_tail(tw, j, rng)).coords
+                    for _ in range(rng.randrange(1, 3))
+                ]
+                u = spin(p, dim, seeds, perms)
+                fixed_part = u.intersect(fix)
+                mod_aug = u.sum_with(aug).rank - aug.rank
+                assert summand_ranks(tw, j, u) == (mod_aug, fixed_part.rank)
+                soc = Subspace.span(p, m, [row[::blocks] for row in fixed_part.rows])
+                assert socle_coordinates(tw, j, u) == soc
+                choice = choose_levels(tw, j, u)
+                assert choice == _reference_levels(tw, j, soc)
+                if mod_aug != fixed_part.rank:
+                    kinds[ws.REASON_NOT_SUMMAND] += 1
+                else:
+                    kinds[ws.REASON_SOCLE_GAP if choice is None else choice.style] += 1
+    assert set(kinds) == {
+        STYLE_CO_SHIFT, STYLE_PREFIX, ws.REASON_NOT_SUMMAND, ws.REASON_SOCLE_GAP
+    }
