@@ -8,7 +8,7 @@ field) so identical inputs give byte-identical reports.  Exit codes:
 
 Caps for the brute-force commands come from the environment when set:
 WREATH_SYLOW_BFS_CAP (element enumeration), WREATH_SYLOW_SEARCH_CAP
-(subgroup searches).
+(subgroup searches); each must be a positive integer.
 """
 
 from __future__ import annotations
@@ -33,12 +33,21 @@ from .tower import (
 from .words import parse_generators
 
 
+def _env_cap(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def _bfs_cap() -> int:
-    return int(os.environ.get("WREATH_SYLOW_BFS_CAP", oracle.BFS_CAP))
+    return _env_cap("WREATH_SYLOW_BFS_CAP", oracle.BFS_CAP)
 
 
 def _search_cap() -> int:
-    return int(os.environ.get("WREATH_SYLOW_SEARCH_CAP", oracle.SEARCH_CAP))
+    return _env_cap("WREATH_SYLOW_SEARCH_CAP", oracle.SEARCH_CAP)
 
 
 def _emit(report: dict, fmt: str, text_lines) -> None:

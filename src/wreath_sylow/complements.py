@@ -206,7 +206,10 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
         tw.p, dim, [tail_image(tw, j, d).coords for d in conjs]
     )
     checks["tail_part_rank"] = span.rank == expected_rank
-    checks["meets_closure_trivially"] = span.intersect(handle.image).rank == 0
+    # dim(A + B) = dim A + dim B exactly when A meets B in 0
+    checks["meets_closure_trivially"] = (
+        span.sum_with(handle.image).rank == span.rank + handle.image.rank
+    )
     numbers["tail_part_rank"] = span.rank
 
     etas = scale_gens(tw)

@@ -7,12 +7,30 @@ element enumeration, exhaustive normal-subgroup and complement searches
 with canonical-set deduplication, and scans of full symmetric groups for
 centralizers.  Caps guard against accidentally enumerating something huge;
 override them explicitly when a test really wants a bigger sweep.
+
+Two pieces carry all of it:
+
+- one closure kernel, ``_walk``: everything reachable from a start set by
+  a list of moves, breadth first, stopping at a cap.  The moves are right
+  multiplication (closures), conjugation (normal closures and conjugacy
+  orbits), lookups in a multiplication column (subgroups of an indexed
+  group) or ``bytes.translate`` on packed images (counting walks, which
+  multiply on the left; that generates the same group).
+- one indexed form of an enumerated ``GroupSet`` (``GroupSet._index``,
+  built once per group): its elements numbered in sorted order, with the
+  right-multiplication column of each element filled on first use and
+  stored as a compact ``array``.  The subgroup searches work on these
+  numbers and dedupe subgroups as int bitmasks; containment and meeting a
+  normal subgroup are int operations.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from operator import methodcaller
 from typing import Sequence
 
 from .perm import Perm
@@ -23,6 +41,23 @@ SEARCH_CAP = 4096
 
 class CapExceeded(RuntimeError):
     pass
+
+
+def _walk(start, moves, cap: int, what: str = "closure") -> set:
+    """Everything reachable from start by the moves (unary functions), breadth first."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for move in moves:
+            for y in map(move, frontier):
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"{what} exceeds cap {cap}")
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
 
 
 @dataclass(frozen=True)
@@ -37,14 +72,54 @@ class GroupSet:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x) -> bool:
-        return x in self.elements
-
     def sorted_elements(self) -> list:
         return sorted(self.elements)
 
-    def __le__(self, other: "GroupSet") -> bool:
-        return self.elements <= other.elements
+    @cached_property
+    def _index(self) -> "_Index":
+        return _Index(self)
+
+
+class _Index:
+    """An enumerated group with its elements numbered in sorted order."""
+
+    def __init__(self, group: GroupSet):
+        self.elems = group.sorted_elements()
+        self.pos = {x: i for i, x in enumerate(self.elems)}
+        self.e = self.pos[group.identity]
+        self._cols: list = [None] * len(self.elems)
+        self._code = "H" if len(self.elems) <= 1 << 16 else "I"
+
+    def col(self, k: int) -> array:
+        """Number of elems[i] * elems[k] at position i."""
+        c = self._cols[k]
+        if c is None:
+            g, pos = self.elems[k], self.pos
+            c = self._cols[k] = array(self._code, [pos[x * g] for x in self.elems])
+        return c
+
+    def closure(self, start, gens, cap: int) -> set[int]:
+        """Numbers of the closure of the start set under right multiplication by gens."""
+        return _walk(start, [self.col(k).__getitem__ for k in gens], cap)
+
+    def mask(self, members) -> int:
+        bits = bytearray((len(self.elems) + 7) >> 3)
+        for i in members:
+            bits[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(bits, "little")
+
+    def sorted_subgroups(self, found) -> list[GroupSet]:
+        """(members, gens) pairs as GroupSets, by order and then by elements."""
+        elems, e = self.elems, self.elems[self.e]
+        return [
+            GroupSet(frozenset(elems[i] for i in members), tuple(elems[k] for k in gens), e)
+            for members, gens in sorted(found, key=lambda mg: (len(mg[0]), sorted(mg[0])))
+        ]
+
+
+def _check_size(group: GroupSet, cap: int) -> None:
+    if group.order > cap:
+        raise CapExceeded(f"group order {group.order} exceeds cap {cap}")
 
 
 def _identity_of(gens: Sequence, identity):
@@ -59,20 +134,12 @@ def _identity_of(gens: Sequence, identity):
 def bfs_closure(gens: Sequence, cap: int = BFS_CAP, identity=None) -> GroupSet:
     """Multiplicative closure of the generators, breadth first."""
     e = _identity_of(gens, identity)
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"closure exceeds cap {cap}")
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    seen = _walk([e], [lambda x, g=g: x * g for g in gens], cap)
     return GroupSet(frozenset(seen), tuple(gens), e)
+
+
+def _translation_tables(gens: Sequence[Perm]) -> list[bytes]:
+    return [bytes(g.images) + bytes(range(g.degree, 256)) for g in gens]
 
 
 def bfs_order(gens: Sequence[Perm], cap: int = 2**21) -> int:
@@ -83,23 +150,8 @@ def bfs_order(gens: Sequence[Perm], cap: int = 2**21) -> int:
     """
     if not gens:
         return 1
-    degree = gens[0].degree
-    gen_imgs = [g.images for g in gens]
-    e = bytes(range(degree))
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for img in gen_imgs:
-                y = bytes(x[k] for k in img)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"closure exceeds cap {cap}")
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen)
+    moves = [methodcaller("translate", t) for t in _translation_tables(gens)]
+    return len(_walk([bytes(range(gens[0].degree))], moves, cap))
 
 
 def element_order(g, identity) -> int:
@@ -113,27 +165,15 @@ def element_order(g, identity) -> int:
 def normal_closure(gens: Sequence, ambient_gens: Sequence, cap: int = BFS_CAP, identity=None) -> GroupSet:
     """Smallest subgroup containing gens and closed under ambient conjugation.
 
-    Single BFS whose moves are right multiplication by the given generators
+    Single walk whose moves are right multiplication by the given generators
     and conjugation by the ambient generators; both stay inside the normal
     closure, and every product of conjugates is reachable by inducting on
     its length.
     """
     e = _identity_of(tuple(gens) + tuple(ambient_gens), identity)
-    conj = [(a, a.inverse()) for a in ambient_gens]
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            moves = [x * g for g in gens]
-            moves.extend(a * x * ai for a, ai in conj)
-            for y in moves:
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"normal closure exceeds cap {cap}")
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    moves = [lambda x, g=g: x * g for g in gens]
+    moves += [lambda x, a=a, ai=a.inverse(): a * x * ai for a in ambient_gens]
+    seen = _walk([e], moves, cap, "normal closure")
     return GroupSet(frozenset(seen), tuple(gens), e)
 
 
@@ -141,27 +181,12 @@ def normal_closure_order(gens: Sequence[Perm], ambient_gens: Sequence[Perm], cap
     """Order of the normal closure, counting only (packed images, flat memory)."""
     if not gens:
         return 1
-    degree = gens[0].degree
-    gen_imgs = [g.images for g in gens]
-    conj = [(a.images, a.inverse().images) for a in ambient_gens]
-    e = bytes(range(degree))
-    seen = {e}
-    frontier = [e]
-    rng = range(degree)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            moves = [bytes(x[k] for k in img) for img in gen_imgs]
-            for a, ai in conj:
-                moves.append(bytes(a[x[ai[k]]] for k in rng))
-            for y in moves:
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"normal closure exceeds cap {cap}")
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen)
+    moves = [methodcaller("translate", t) for t in _translation_tables(gens)]
+    moves += [
+        lambda x, t=t, ai=a.inverse().images: bytes(map(x.translate(t).__getitem__, ai))
+        for a, t in zip(ambient_gens, _translation_tables(ambient_gens))
+    ]
+    return len(_walk([bytes(range(gens[0].degree))], moves, cap, "normal closure"))
 
 
 def is_normal_under(sub: GroupSet, ambient_gens: Sequence) -> bool:
@@ -201,42 +226,33 @@ def center(group: GroupSet) -> GroupSet:
 
 def all_normal_subgroups(group: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSet]:
     """Every normal subgroup, as the join closure of cyclic normal closures."""
-    if group.order > cap:
-        raise CapExceeded(f"group order {group.order} exceeds cap {cap}")
-    e = group.identity
-    atoms: dict[frozenset, GroupSet] = {}
-    classified: set = set()
-    for x in group.sorted_elements():
-        if x in classified or x == e:
+    _check_size(group, cap)
+    ix = group._index
+    conj = [lambda y, g=g, gi=g.inverse(): g * y * gi for g in group.gens]
+    atoms: dict[int, tuple] = {}  # mask -> (members, gens)
+    classified: set[int] = set()
+    for k, x in enumerate(ix.elems):
+        if k == ix.e or k in classified:
             continue
         # conjugation orbit of x, then its multiplicative closure
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in group.gens:
-                z = g * y * g.inverse()
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        classified |= orbit
-        ncl = bfs_closure(sorted(orbit), identity=e)
-        atoms.setdefault(ncl.elements, ncl)
-    trivial = GroupSet(frozenset([e]), (), e)
-    found: dict[frozenset, GroupSet] = {trivial.elements: trivial}
-    for a in atoms.values():
-        found.setdefault(a.elements, a)
-    queue = list(found.values())
+        orbit = sorted(ix.pos[y] for y in _walk([x], conj, group.order))
+        classified.update(orbit)
+        members = ix.closure([ix.e], orbit, group.order)
+        atoms.setdefault(ix.mask(members), (members, tuple(orbit)))
+    found = {1 << ix.e: ({ix.e}, ()), **atoms}
+    queue = list(found.items())
     while queue:
-        cur = queue.pop()
-        for a in atoms.values():
-            if a.elements <= cur.elements:
+        cur_mask, (cur, cur_gens) = queue.pop()
+        for a_mask, (_, a_gens) in atoms.items():
+            if a_mask & ~cur_mask == 0:
                 continue
-            join = bfs_closure(tuple(set(cur.gens) | set(a.gens)) or (e,), identity=e)
-            if join.elements not in found:
-                found[join.elements] = join
-                queue.append(join)
-    return sorted(found.values(), key=lambda g: (g.order, sorted(g.elements)))
+            # cur is normal, so the join is cur times <a>
+            join = ix.closure(cur, a_gens, group.order)
+            mask = ix.mask(join)
+            if mask not in found:
+                found[mask] = (join, tuple(sorted(set(cur_gens) | set(a_gens))))
+                queue.append((mask, found[mask]))
+    return ix.sorted_subgroups(found.values())
 
 
 def exhaustive_complements(
@@ -250,8 +266,7 @@ def exhaustive_complements(
     Backtracking over generator extensions with canonical-set memoization;
     with find_all=False, stops at the first complement.
     """
-    if group.order > cap:
-        raise CapExceeded(f"group order {group.order} exceeds cap {cap}")
+    _check_size(group, cap)
     if group.order % normal.order:
         raise ValueError("normal subgroup order does not divide the group order")
     target = group.order // normal.order
@@ -260,40 +275,39 @@ def exhaustive_complements(
         return [GroupSet(frozenset([e]), (), e)]
     if normal.order == 1:
         return [group]
-    elems = group.sorted_elements()
-    n_elems = normal.elements
-    orders = {g: element_order(g, e) for g in elems}
-    seen: set[frozenset] = set()
-    results: list[GroupSet] = []
+    ix = group._index
+    n_mask = ix.mask(ix.pos[x] for x in normal.elements)
+    orders = [element_order(x, e) for x in ix.elems]
+    seen: set[int] = set()
+    results: list[tuple] = []
 
-    def extend(current: GroupSet):
-        for g in elems:
-            if g in current.elements or g in n_elems:
+    def extend(current: set, mask: int, gens: tuple):
+        blocked = mask | n_mask
+        for g in range(len(ix.elems)):
+            if blocked >> g & 1 or target % orders[g]:
                 continue
-            if target % orders[g]:
+            try:
+                grown = ix.closure(current, gens + (g,), target)
+            except CapExceeded:
                 continue
-            grown = bfs_closure(tuple(current.gens) + (g,), identity=e)
-            if (
-                grown.order > target
-                or target % grown.order
-                or grown.elements in seen
-            ):
+            grown_mask = ix.mask(grown)
+            if target % len(grown) or grown_mask in seen:
                 continue
-            if len(grown.elements & n_elems) > 1:
+            seen.add(grown_mask)
+            if (grown_mask & n_mask).bit_count() > 1:
                 continue
-            seen.add(grown.elements)
-            if grown.order == target:
-                results.append(grown)
+            if len(grown) == target:
+                results.append((grown, gens + (g,)))
                 if not find_all:
                     raise _FoundOne
             else:
-                extend(grown)
+                extend(grown, grown_mask, gens + (g,))
 
     try:
-        extend(GroupSet(frozenset([e]), (), e))
+        extend({ix.e}, 1 << ix.e, ())
     except _FoundOne:
         pass
-    return sorted(results, key=lambda g: sorted(g.elements))
+    return ix.sorted_subgroups(results)
 
 
 class _FoundOne(Exception):
@@ -326,78 +340,52 @@ def centralizer_in_sym(target_gens: Sequence[Perm], degree: int, cap_degree: int
     return GroupSet(frozenset(found), tuple(target_gens), Perm.identity(degree))
 
 
-def max_abelian_stats(group: GroupSet, p: int, cap: int = SEARCH_CAP) -> tuple[int, int]:
-    """Largest abelian subgroup order as an exponent of p, and how many attain it.
+def all_abelian_subgroups(group: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSet]:
+    """Every abelian subgroup, the trivial one included, by order and then by elements.
 
     Depth-first growth of commuting sets with canonical-set memoization;
     every abelian subgroup arises by adding one centralizing generator at a
     time, so the sweep is exhaustive.
     """
-    if group.order > cap:
-        raise CapExceeded(f"group order {group.order} exceeds cap {cap}")
-    e = group.identity
-    elems = group.sorted_elements()
-    seen: set[frozenset] = set()
-    best = {"order": 1, "count": 1}  # the trivial subgroup
+    _check_size(group, cap)
+    ix = group._index
+    found = {1 << ix.e: ({ix.e}, ())}  # mask -> (members, gens)
 
-    def note(sub: GroupSet):
-        if sub.order > best["order"]:
-            best["order"] = sub.order
-            best["count"] = 1
-        elif sub.order == best["order"]:
-            best["count"] += 1
-
-    def extend(current: GroupSet):
-        for g in elems:
-            if g in current.elements:
+    def extend(current: set, mask: int, gens: tuple):
+        for g in range(len(ix.elems)):
+            if mask >> g & 1:
                 continue
             # commuting with the generators of an abelian group is enough
-            if any(g * h != h * g for h in current.gens):
+            col = ix.col(g)
+            if any(ix.col(h)[g] != col[h] for h in gens):
                 continue
-            grown = bfs_closure(tuple(current.gens) + (g,), identity=e)
-            if grown.elements in seen:
+            grown = ix.closure(current, (g,), group.order)  # current times <g>
+            grown_mask = ix.mask(grown)
+            if grown_mask in found:
                 continue
-            seen.add(grown.elements)
-            note(grown)
-            extend(grown)
+            found[grown_mask] = (grown, gens + (g,))
+            extend(grown, grown_mask, gens + (g,))
 
-    trivial = GroupSet(frozenset([e]), (), e)
-    extend(trivial)
+    extend({ix.e}, 1 << ix.e, ())
+    return ix.sorted_subgroups(found.values())
+
+
+def max_abelian_stats(group: GroupSet, p: int, cap: int = SEARCH_CAP) -> tuple[int, int]:
+    """Largest abelian subgroup order as an exponent of p, and how many attain it."""
+    orders = [sub.order for sub in all_abelian_subgroups(group, cap)]
     exponent = 0
-    order = best["order"]
+    order = orders[-1]
     while order > 1:
         if order % p:
             raise ValueError("group order is not a p-power")
         order //= p
         exponent += 1
-    return exponent, best["count"]
+    return exponent, orders.count(orders[-1])
 
 
 def all_abelian_subgroups_of_order(group: GroupSet, order: int, cap: int = SEARCH_CAP) -> list[GroupSet]:
-    """Every abelian subgroup of the given order (same sweep as the stats)."""
-    if group.order > cap:
-        raise CapExceeded(f"group order {group.order} exceeds cap {cap}")
-    e = group.identity
-    elems = group.sorted_elements()
-    seen: set[frozenset] = set()
-    hits: list[GroupSet] = []
-
-    def extend(current: GroupSet):
-        for g in elems:
-            if g in current.elements:
-                continue
-            if any(g * h != h * g for h in current.gens):
-                continue
-            grown = bfs_closure(tuple(current.gens) + (g,), identity=e)
-            if grown.elements in seen or grown.order > order:
-                continue
-            seen.add(grown.elements)
-            if grown.order == order:
-                hits.append(grown)
-            extend(grown)
-
-    extend(GroupSet(frozenset([e]), (), e))
-    return sorted(hits, key=lambda g: sorted(g.elements))
+    """Every abelian subgroup of the given order, sorted by elements."""
+    return [sub for sub in all_abelian_subgroups(group, cap) if sub.order == order]
 
 
 def commutator_chain(group: GroupSet, start: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSet]:

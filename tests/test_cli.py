@@ -220,3 +220,14 @@ def test_cli_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("WREATH_SYLOW_BFS_CAP", "4")
     code = main(["oracle", "abelian-max", "--p", "2", "--n", "2"])
     assert code == 2
+    monkeypatch.delenv("WREATH_SYLOW_BFS_CAP")
+    monkeypatch.setenv("WREATH_SYLOW_SEARCH_CAP", "4")
+    assert main(["oracle", "abelian-max", "--p", "2", "--n", "2"]) == 2
+    # a malformed or non-positive cap is a usage error that names the variable
+    for name in ("WREATH_SYLOW_BFS_CAP", "WREATH_SYLOW_SEARCH_CAP"):
+        for bad in ("abc", "0", "-3"):
+            monkeypatch.setenv(name, bad)
+            capsys.readouterr()
+            assert main(["oracle", "abelian-max", "--p", "2", "--n", "2"]) == 2
+            assert name in capsys.readouterr().err
+        monkeypatch.delenv(name)

@@ -7,6 +7,7 @@ from wreath_sylow import oracle
 from wreath_sylow.complements import (
     REASON_NOT_SUMMAND,
     REASON_SOCLE_GAP,
+    Decision,
     complement_order_exponent,
     decision_json,
     tail_commutator_exponent,
@@ -135,6 +136,16 @@ def test_decide_trivial_and_full():
     assert ws.verify_complement(full, decision).passed
 
 
+def test_verify_rejects_complement_meeting_the_closure():
+    # s0 generates the closure's level-0 image, so it cannot be a complement
+    s0 = ws.shift_gen(T33, 0)
+    handle = ws.closure_handle(T33, [s0])
+    forged = Decision(True, STYLE_PREFIX, (0,), (s0,))
+    cert = ws.verify_complement(handle, forged)
+    assert cert.checks["meets_closure_trivially"] is False
+    assert not cert.passed
+
+
 def test_verify_rejects_negative_decision():
     handle = ws.closure_handle(T34, [gamma(T34) * ws.shift_gen(T34, 2)])
     with pytest.raises(ValueError):
@@ -203,6 +214,28 @@ def test_order_exponent_against_enumeration(enumerated):
         for sub in data["normals"]:
             handle = ws.closure_handle(tw, sub.sorted_elements())
             assert p**handle.order_exponent == sub.order
+
+
+def test_engine_complement_is_an_oracle_complement(enumerated, oracle_verdicts):
+    # the engine's complement, as a set of elements, is one the exhaustive
+    # search lists; each listed complement is re-checked from its elements
+    positives = 0
+    for key, rows in oracle_verdicts["rows"].items():
+        group = enumerated[key]["group"]
+        e = group.identity
+        for row in rows:
+            decision, sub = row["decision"], row["sub"]
+            if not decision.has_complement:
+                continue
+            positives += 1
+            listed = oracle.exhaustive_complements(group, sub)
+            engine = oracle.bfs_closure(list(decision.gens), identity=e)
+            assert engine.elements in {c.elements for c in listed}, (key, sub.order)
+            for c in listed:
+                assert all(x * y in c.elements for x in c.elements for y in c.elements)
+                assert c.order * sub.order == group.order
+                assert c.elements & sub.elements == {e}
+    assert positives == 30
 
 
 def test_member_agrees_with_enumeration(enumerated):
