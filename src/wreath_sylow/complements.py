@@ -25,7 +25,7 @@ every question about N to small exact linear algebra:
 
 verify_complement certifies a positive answer from scratch: the order
 equation, trivial intersection (via ranks of the conjugates' tail images
-and commutation checks), and the scaling identities.
+and commutation of those whose supports meet), and the scaling identities.
 """
 
 from __future__ import annotations
@@ -189,17 +189,21 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     # tail part of the complement: conjugates of the generators beyond the prefix
     if decision.style == STYLE_CO_SHIFT:
         tail_gens = [co_shift_gen(tw, i) for i in decision.levels]
-        expected_rank = len(decision.levels) * tw.p**j
     else:
         tail_gens = [shift_gen(tw, j)]
-        expected_rank = tw.p**j
+    expected_rank = len(tail_gens) * tw.p**j
     conjs: list[Perm] = []
     for g in tail_gens:
         conjs.extend(block_conjugates(tw, j, g))
     checks["tail_part_in_tail"] = all(in_tail(tw, j, d) for d in conjs)
     checks["tail_part_order_p"] = all(d.order() == tw.p for d in conjs)
+    # permutations moving disjoint point sets commute; multiply only the rest
+    moved = [{a for a, y in enumerate(d.images) if a != y} for d in conjs]
     checks["tail_part_abelian"] = all(
-        a * b == b * a for k, a in enumerate(conjs) for b in conjs[k + 1 :]
+        a * b == b * a
+        for k, a in enumerate(conjs)
+        for b, mb in zip(conjs[k + 1 :], moved[k + 1 :])
+        if not moved[k].isdisjoint(mb)
     )
     dim = (tw.n - j) * tw.p**j
     span = Subspace.span(

@@ -103,10 +103,11 @@ def _mod9_alpha(g: Mod9Elem) -> Mod9Elem:
 
 
 def _is_automorphism(group: GroupSet, f) -> bool:
+    # each b is a positive word in the gens: f(ag) = f(a)f(g) gives f(ab) = f(a)f(b)
     elems = group.sorted_elements()
     if {f(x) for x in elems} != set(elems):
         return False
-    return all(f(a * b) == f(a) * f(b) for a in elems for b in elems)
+    return all(f(a * g) == f(a) * f(g) for a in elems for g in group.gens)
 
 
 def _orbit_type(complements: list[GroupSet], f) -> list[int]:

@@ -8,6 +8,13 @@ module is uniserial).  A partition subgroup is a product of one chain
 member per level, recorded by the index tuple (i_0, ..., i_{n-1}) with
 0 <= i_k <= p**k; index i_k = p**k means the level is absent.
 
+The chain is spanned by monomials (Kaloujnine, Ann. Sci. ENS 65, 1948):
+give d_0^a_0 * ... * d_{k-1}^a_{k-1}, a function of a block's digits (most
+significant first, 0^0 = 1), the weight sum(a_i * p**i).  The prefix group
+adds to digit i a function of digits 0..i-1, so it maps each monomial to
+itself plus monomials of smaller weight.  Those of weight below p**k - r
+span an invariant subspace of codimension r: by uniseriality, term r.
+
 Closed forms implemented here (cross-checked against the complement engine
 and the brute-force oracle in the test suite): with j the depth (smallest
 level whose term is nontrivial), the subgroup is normal iff i_k <= p**j
@@ -17,11 +24,13 @@ i_k is 0 or p**j.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
-from .linalg import Subspace, lower_central_series, perm_action_matrix
-from .perm import Perm, conjugate
-from .tower import Tower, prefix_rep, shift_gen, tower
+from .linalg import Subspace
+from .perm import Perm
+from .tower import Tower
 
 
 @dataclass(frozen=True)
@@ -51,52 +60,45 @@ class PartitionSpec:
 def level_chain(tw: Tower, k: int) -> list[Subspace]:
     """The module chain at level k, from the full space down to zero.
 
-    Computed as the lower central series of F_p^(p^k) under the height-k
-    prefix group permuting the coordinates; it has p**k + 1 terms with
-    codimension-1 steps.
+    Term r is spanned by the monomials of weight below p**k - r; there are
+    p**k + 1 terms with codimension-1 steps.
     """
     if not 0 <= k <= tw.n - 1:
         raise ValueError(f"level {k} out of range")
-    dim = tw.p**k
-    if k == 0:
-        actions = []
-    else:
-        prefix = tower(tw.p, k, tw.r)
-        actions = [perm_action_matrix(g.images, tw.p) for g in _gens(prefix)]
-    return lower_central_series(Subspace.full(tw.p, dim), actions)
-
-
-def _gens(tw: Tower) -> list[Perm]:
-    return [shift_gen(tw, i) for i in range(tw.n)]
+    p, dim = tw.p, tw.p**k
+    digits = [[b // p ** (k - 1 - i) % p for i in range(k)] for b in range(dim)]
+    monomials = [
+        tuple(math.prod(pow(d[i], w // p**i % p, p) for i in range(k)) % p for d in digits)
+        for w in range(dim)
+    ]
+    return [Subspace.span(p, dim, monomials[: dim - r]) for r in range(dim + 1)]
 
 
 def vector_to_element(tw: Tower, k: int, vec) -> Perm:
     """Map an exponent vector over the level-k blocks to the tower element.
 
     Coordinate b is the exponent of the conjugate of shift_gen(k) supported
-    on prefix block b; the conjugates commute, so the order of factors does
-    not matter.
+    on prefix block b.  These commute, and their product adds vec[b] to digit
+    k on the points of block b, so the element is built from the digits.
     """
-    out = Perm.identity(tw.degree)
-    sk = shift_gen(tw, k)
-    for b, e in enumerate(vec):
-        if e % tw.p:
-            out = out * conjugate(sk, prefix_rep(tw, k, b)) ** (e % tw.p)
-    return out
+    p, step = tw.p, tw.p ** (tw.n - 1 - k)
+    images = []
+    for a in range(tw.degree):
+        d = a // step % p
+        images.append(a + ((d + vec[a // (step * p)]) % p - d) * step)
+    return Perm(images)
 
 
 def partition_generators(tw: Tower, spec: PartitionSpec) -> list[Perm]:
     """Tower elements generating the partition subgroup of the spec."""
     if (spec.p, spec.n) != (tw.p, tw.n):
         raise ValueError("spec does not match the tower")
-    gens = []
-    for k, i in enumerate(spec.indices):
-        if i == tw.p**k:
-            continue
-        chain = level_chain(tw, k)
-        for row in chain[i].rows:
-            gens.append(vector_to_element(tw, k, row))
-    return gens
+    return [
+        vector_to_element(tw, k, row)
+        for k, i in enumerate(spec.indices)
+        if i < tw.p**k
+        for row in level_chain(tw, k)[i].rows
+    ]
 
 
 def partition_is_normal(spec: PartitionSpec) -> bool:
@@ -110,11 +112,9 @@ def partition_has_complement(spec: PartitionSpec) -> bool:
     if not partition_is_normal(spec):
         raise ValueError("complement criterion applies to normal specs only")
     j = spec.depth
-    if j == spec.n:
-        return True
-    if spec.indices[j] != 0:
-        return False
-    return all(spec.indices[k] in (0, spec.p**j) for k in range(j, spec.n))
+    return j == spec.n or (
+        spec.indices[j] == 0 and all(spec.indices[k] in (0, spec.p**j) for k in range(j, spec.n))
+    )
 
 
 def tail_commutator_spec(p: int, n: int, j: int) -> PartitionSpec:
@@ -128,12 +128,6 @@ def tail_commutator_spec(p: int, n: int, j: int) -> PartitionSpec:
 
 def all_normal_specs(p: int, n: int) -> list[PartitionSpec]:
     """Every normal partition spec at the given parameters."""
-    import itertools
-
-    out = []
     ranges = [range(p**k + 1) for k in range(n)]
-    for indices in itertools.product(*ranges):
-        spec = PartitionSpec(p, n, indices)
-        if partition_is_normal(spec):
-            out.append(spec)
-    return out
+    specs = (PartitionSpec(p, n, indices) for indices in itertools.product(*ranges))
+    return [spec for spec in specs if partition_is_normal(spec)]

@@ -19,7 +19,14 @@ Three structural layers computed here are used by the complement engine:
   membership in the tower;
 - images in the abelianized tail: ``tail_image(tower, j, x)`` records, for
   each j-prefix block, the abelianization of the local action, giving the
-  vector on which the complement criteria are checked.
+  vector on which the complement criteria are checked.  It is read off one
+  portrait: the digit-(j+s) translations inside block b are one slice of
+  the portrait's table, and coordinate (s, b) is their sum mod p.
+
+The digits give the other closed forms too: prefix conjugates are built
+one digit at a time (``block_conjugates``), and the chain of each level
+module is spanned by monomials in the block digits (Kaloujnine; see
+``partition``).
 
 The *scale* generators ``scale_gen(i)`` multiply digit i by a fixed
 primitive root r; they normalize the tower and generate a Hall p'-subgroup
@@ -63,15 +70,22 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _unit_order(r: int, p: int) -> int:
+    """Multiplicative order of r mod p; 0 when p divides r."""
+    x, k = r % p, 1
+    if x == 0:
+        return 0
+    while x != 1:
+        x = x * r % p
+        k += 1
+    return k
+
+
 def smallest_primitive_root(p: int) -> int:
     if p == 2:
         return 1
     for r in range(2, p):
-        x, k = r % p, 1
-        while x != 1:
-            x = x * r % p
-            k += 1
-        if k == p - 1:
+        if _unit_order(r, p) == p - 1:
             return r
     raise ValueError(f"{p} is not prime")
 
@@ -95,13 +109,8 @@ class Tower:
             if self.r % 2 != 1:
                 raise ValueError("r must be 1 for p = 2")
             object.__setattr__(self, "r", 1)
-        else:
-            x, k = self.r % self.p, 1
-            while x != 1:
-                x = x * self.r % self.p
-                k += 1
-            if k != self.p - 1:
-                raise ValueError(f"r = {self.r} does not generate the units mod {self.p}")
+        elif _unit_order(self.r, self.p) != self.p - 1:
+            raise ValueError(f"r = {self.r} does not generate the units mod {self.p}")
 
     @property
     def degree(self) -> int:
@@ -114,10 +123,7 @@ class Tower:
         return (self.p**m - 1) // (self.p - 1)
 
     def digits(self, a: int) -> tuple[int, ...]:
-        out = []
-        for i in range(self.n):
-            out.append(a // self.p ** (self.n - 1 - i) % self.p)
-        return tuple(out)
+        return tuple(a // self.p ** (self.n - 1 - i) % self.p for i in range(self.n))
 
     def point(self, digits: Sequence[int]) -> int:
         a = 0
@@ -198,8 +204,18 @@ def prefix_rep(tower: Tower, j: int, block: int) -> Perm:
 
 
 def block_conjugates(tower: Tower, j: int, x: Perm) -> list[Perm]:
-    """Conjugates of x by the p**j prefix representatives, in block order."""
-    return [conjugate(x, prefix_rep(tower, j, b)) for b in range(tower.p**j)]
+    """Conjugates of x by the p**j prefix representatives, in block order.
+
+    prefix_rep(j, b) is one shift power per digit, so conjugate by digit j-1
+    first and put each new, more significant digit outermost.
+    """
+    if not 0 <= j <= tower.n:
+        raise ValueError(f"prefix length {j} out of range")
+    out = [x]
+    for i in reversed(range(j)):
+        powers = [shift_gen(tower, i) ** c for c in range(tower.p)]
+        out = [conjugate(y, g) for g in powers for y in out]
+    return out
 
 
 def base_translations(tower: Tower) -> list[Perm]:
@@ -234,10 +250,6 @@ class Portrait:
 
     shifts: tuple[int, ...]
     inner: Optional["Portrait"]
-
-    @property
-    def height(self) -> int:
-        return 0 if self.inner is None else self.inner.height + 1
 
 
 def decompose(x: Perm, p: int) -> Portrait:
@@ -311,14 +323,7 @@ def abelianization(tower: Tower, x: Perm) -> tuple[int, ...]:
     Coordinate i is the total digit-i translation amount: the shift
     generators map to the standard basis.  Raises NotInTower off the tower.
     """
-    portrait = decompose(x, tower.p)
-    coords = [0] * tower.n
-    level = tower.n - 1
-    while portrait.inner is not None:
-        coords[level] = sum(portrait.shifts) % tower.p
-        portrait = portrait.inner
-        level -= 1
-    return tuple(coords)
+    return tail_image(tower, 0, x).coords
 
 
 @dataclass(frozen=True)
@@ -364,30 +369,26 @@ class TailVector:
 def tail_image(tower: Tower, j: int, x: Perm) -> TailVector:
     """Image of x in the abelianized level-j tail.
 
-    Requires x to be a tower element fixing all j-prefixes; the local action
-    on each block is a height n-j tower element whose abelianization fills
-    the block's column of the result.
+    Requires x to be a tower element fixing all j-prefixes.  Coordinate
+    (s, b), the local abelianization at level s, is the sum mod p of the
+    portrait's digit-(j+s) translations in block b: p**s adjacent nodes.
     """
     p, n = tower.p, tower.n
     if not 0 <= j <= n:
         raise ValueError(f"tail level {j} out of range")
     size = p ** (n - j)
-    blocks = p**j
-    local_tower = Tower(p, n - j, tower.r) if j < n else None
-    coords = [0] * ((n - j) * blocks)
-    for b in range(blocks):
-        base = b * size
-        local = []
-        for y in range(size):
-            img = x.images[base + y]
-            if img // size != b:
-                raise NotInTail(f"moves block {b} (level {j})")
-            local.append(img - base)
-        if local_tower is not None:
-            ab = abelianization(local_tower, Perm(local))
-            for s in range(n - j):
-                coords[s * blocks + b] = ab[s]
-    return TailVector(p, n, j, tuple(coords))
+    for a, y in enumerate(x.images):
+        if y // size != a // size:
+            raise NotInTail(f"moves block {a // size} (level {j})")
+    shifts = []  # shifts[d]: the digit-d translations, one per d-prefix
+    node = decompose(x, p)
+    while node.inner is not None:
+        shifts.insert(0, node.shifts)
+        node = node.inner
+    coords = tuple(
+        sum(shifts[j + s][b * p**s : (b + 1) * p**s]) % p for s in range(n - j) for b in range(p**j)
+    )
+    return TailVector(p, n, j, coords)
 
 
 def block_map(tower: Tower, j: int, g: Perm) -> tuple[int, ...]:

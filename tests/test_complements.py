@@ -3,7 +3,7 @@ import random
 import pytest
 
 import wreath_sylow as ws
-from wreath_sylow import oracle
+from wreath_sylow import complements, oracle
 from wreath_sylow.complements import (
     REASON_NOT_SUMMAND,
     REASON_SOCLE_GAP,
@@ -13,7 +13,7 @@ from wreath_sylow.complements import (
     tail_commutator_exponent,
 )
 from wreath_sylow.perm import Perm, conjugate
-from wreath_sylow.tower import random_element
+from wreath_sylow.tower import prefix_rep, random_element
 from wreath_sylow.uniserial import STYLE_CO_SHIFT, STYLE_PREFIX
 
 T33 = ws.tower(3, 3)
@@ -143,6 +143,20 @@ def test_verify_rejects_complement_meeting_the_closure():
     forged = Decision(True, STYLE_PREFIX, (0,), (s0,))
     cert = ws.verify_complement(handle, forged)
     assert cert.checks["meets_closure_trivially"] is False
+    assert not cert.passed
+
+
+def test_verify_rejects_noncommuting_tail_part(monkeypatch):
+    # the prefix conjugates of s1 * (s2 ^ prefix_rep(1, 1)) overlap in the
+    # blocks they share, and there they do not commute
+    s1, s2 = ws.shift_gen(T33, 1), ws.shift_gen(T33, 2)
+    forged = s1 * conjugate(s2, prefix_rep(T33, 1, 1))
+    handle = ws.closure_handle(T33, [s1])
+    decision = ws.decide(handle)
+    assert decision.style == STYLE_CO_SHIFT and decision.levels == (2,)
+    monkeypatch.setattr(complements, "co_shift_gen", lambda tw, i: forged)
+    cert = ws.verify_complement(handle, decision)
+    assert cert.checks["tail_part_abelian"] is False
     assert not cert.passed
 
 

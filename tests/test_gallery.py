@@ -1,6 +1,7 @@
 from wreath_sylow.gallery import (
     Mod9Elem,
     QCUnit,
+    _is_automorphism,
     _mat_pow,
     _mod9_alpha,
     _qc_phi,
@@ -96,3 +97,14 @@ def test_gallery_mod9_report():
 def test_alpha_is_an_involution():
     g = Mod9Elem(4, 7, 2)
     assert _mod9_alpha(_mod9_alpha(g)) == g
+
+
+def test_is_automorphism_rejects_a_non_homomorphic_bijection():
+    e = Mod9Elem(0, 0, 0)
+    group = bfs_closure(
+        [Mod9Elem(1, 0, 0), Mod9Elem(0, 1, 0), Mod9Elem(0, 0, 1)], cap=300, identity=e
+    )
+    a, b = Mod9Elem(1, 0, 0), Mod9Elem(2, 0, 0)
+    swap = {a: b, b: a}
+    assert _is_automorphism(group, _mod9_alpha)
+    assert not _is_automorphism(group, lambda g: swap.get(g, g))

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 import wreath_sylow as ws
 from wreath_sylow import oracle
+from wreath_sylow.linalg import Subspace, lower_central_series
 from wreath_sylow.partition import (
     PartitionSpec,
     all_normal_specs,
@@ -14,6 +16,8 @@ from wreath_sylow.partition import (
     tail_commutator_spec,
     vector_to_element,
 )
+from wreath_sylow.perm import Perm, conjugate
+from wreath_sylow.tower import point_action_matrices, prefix_rep
 from wreath_sylow.uniserial import STYLE_CO_SHIFT
 
 T33 = ws.tower(3, 3)
@@ -37,6 +41,31 @@ def test_level_chain_shapes():
         assert len(chain) == 3**k + 1
         assert [c.rank for c in chain] == list(range(3**k, -1, -1))
         assert chain[-1].rank == 0
+
+
+def test_level_chain_matches_lower_central_series():
+    # the monomial chain is the dense commutator chain of the natural module
+    for p, n in [(2, 6), (3, 4), (5, 3), (7, 2)]:
+        tw = ws.tower(p, n)
+        for k in range(1, n):
+            reference = lower_central_series(
+                Subspace.full(p, p**k), point_action_matrices(ws.tower(p, k))
+            )
+            assert level_chain(tw, k) == reference, (p, n, k)
+
+
+def test_vector_to_element_is_the_product_of_block_conjugates():
+    rng = random.Random(29)
+    for p, n in [(2, 4), (3, 3), (5, 2)]:
+        tw = ws.tower(p, n)
+        for k in range(n):
+            sk = ws.shift_gen(tw, k)
+            for _ in range(4):
+                vec = [rng.randrange(-p, 2 * p) for _ in range(p**k)]
+                expected = Perm.identity(tw.degree)
+                for b, e in enumerate(vec):
+                    expected = expected * conjugate(sk, prefix_rep(tw, k, b)) ** (e % p)
+                assert vector_to_element(tw, k, vec) == expected, (p, n, k, vec)
 
 
 def test_vector_to_element_round_trip():

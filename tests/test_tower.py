@@ -40,6 +40,13 @@ def test_tower_validation():
     assert ws.tower(2, 3).r == 1
 
 
+def test_tower_rejects_unit_divisible_by_p():
+    # r = 0 mod p has no multiplicative order; this used to loop forever
+    for p, r in [(3, 3), (5, 5), (5, 10), (7, -7)]:
+        with pytest.raises(ValueError, match="does not generate"):
+            ws.Tower(p, 2, r)
+
+
 def test_digits_round_trip():
     assert T33.digits(15) == (1, 2, 0)
     assert T33.point((1, 2, 0)) == 15
@@ -258,6 +265,43 @@ def _random_tail_element(tw, j, rng):
     for b in range(tw.p**j):
         out = out * _embed_in_block(tw, j, b, random_element(local_tw, rng))
     return out
+
+
+def _abelianization_reference(local, p):
+    # total translation per digit, read level by level off the portrait
+    coords = []
+    portrait = ws.decompose(local, p)
+    while portrait.inner is not None:
+        coords.append(sum(portrait.shifts) % p)
+        portrait = portrait.inner
+    return tuple(reversed(coords))
+
+
+def test_tail_image_matches_per_block_abelianization():
+    rng = random.Random(17)
+    for p, n in [(2, 4), (3, 3), (5, 2)]:
+        tw = ws.tower(p, n)
+        for j in range(n):
+            size = p ** (n - j)
+            local_tw = ws.tower(p, n - j)
+            for _ in range(4):
+                x = _random_tail_element(tw, j, rng)
+                v = ws.tail_image(tw, j, x)
+                for b in range(p**j):
+                    local = Perm(x.images[a] - b * size for a in range(b * size, (b + 1) * size))
+                    expected = _abelianization_reference(local, p)
+                    assert ws.abelianization(local_tw, local) == expected
+                    assert tuple(v.summand(s)[b] for s in range(n - j)) == expected
+
+
+def test_block_conjugates_are_prefix_rep_conjugates():
+    rng = random.Random(23)
+    for p, n in [(2, 4), (3, 3), (5, 2)]:
+        tw = ws.tower(p, n)
+        for j in range(n + 1):
+            for x in (ws.shift_gen(tw, n - 1), random_element(tw, rng)):
+                expected = [conjugate(x, prefix_rep(tw, j, b)) for b in range(p**j)]
+                assert block_conjugates(tw, j, x) == expected, (p, n, j)
 
 
 def test_tail_image_is_a_homomorphism():
