@@ -23,9 +23,8 @@ from .complements import (
 )
 from .linalg import Subspace, augmentation_subspace, fixed_subspace, lower_central_series, spin
 from .partition import PartitionSpec, partition_generators, partition_has_complement, partition_is_normal
-from .perm import Perm, commutator, compose, conjugate, format_cycles, inverse, order, parse_cycles
+from .perm import Perm, commutator, conjugate, format_cycles, parse_cycles
 from .tower import (
-    Portrait,
     TailVector,
     Tower,
     abelianization,

@@ -36,11 +36,14 @@ from typing import Iterable, Optional
 from .linalg import Subspace, spin
 from .perm import Perm, conjugate, format_cycles
 from .tower import (
+    NotInTail,
+    NotInTower,
     Tower,
     block_conjugates,
     co_shift_gen,
-    depth,
-    in_tail,
+    decompose,
+    portrait_depth,
+    portrait_tail_image,
     scale_gens,
     shift_gen,
     shift_gens,
@@ -76,9 +79,10 @@ def tail_commutator_exponent(tower: Tower, j: int) -> int:
 
 def closure_handle(tower: Tower, gens: Iterable[Perm]) -> NormalClosure:
     gens = tuple(gens)
-    j = depth(tower, gens)
+    portraits = [decompose(g, tower.p) for g in gens]
+    j = portrait_depth(tower, portraits)
     dim = (tower.n - j) * tower.p**j
-    seeds = [tail_image(tower, j, g).coords for g in gens]
+    seeds = [portrait_tail_image(tower, j, rows).coords for rows in portraits]
     image = spin(tower.p, dim, seeds, tail_coordinate_perms(tower, j))
     return NormalClosure(
         tower, gens, j, image, tail_commutator_exponent(tower, j) + image.rank
@@ -87,9 +91,11 @@ def closure_handle(tower: Tower, gens: Iterable[Perm]) -> NormalClosure:
 
 def member(handle: NormalClosure, x: Perm) -> bool:
     """Membership in the normal closure."""
-    if not in_tail(handle.tower, handle.j, x):
+    try:
+        v = tail_image(handle.tower, handle.j, x)
+    except NotInTail:
         return False
-    return handle.image.contains(tail_image(handle.tower, handle.j, x).coords)
+    return handle.image.contains(v.coords)
 
 
 @dataclass(frozen=True)
@@ -195,7 +201,12 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     conjs: list[Perm] = []
     for g in tail_gens:
         conjs.extend(block_conjugates(tw, j, g))
-    checks["tail_part_in_tail"] = all(in_tail(tw, j, d) for d in conjs)
+    try:
+        images = [tail_image(tw, j, d).coords for d in conjs]
+    except (NotInTail, NotInTower):
+        images = None  # a tail part off the tail has no image to check
+    tail_ok = images is not None
+    checks["tail_part_in_tail"] = tail_ok
     checks["tail_part_order_p"] = all(d.order() == tw.p for d in conjs)
     # permutations moving disjoint point sets commute; multiply only the rest
     moved = [{a for a, y in enumerate(d.images) if a != y} for d in conjs]
@@ -205,13 +216,10 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
         for b, mb in zip(conjs[k + 1 :], moved[k + 1 :])
         if not moved[k].isdisjoint(mb)
     )
-    dim = (tw.n - j) * tw.p**j
-    span = Subspace.span(
-        tw.p, dim, [tail_image(tw, j, d).coords for d in conjs]
-    )
-    checks["tail_part_rank"] = span.rank == expected_rank
+    span = Subspace.span(tw.p, (tw.n - j) * tw.p**j, images or [])
+    checks["tail_part_rank"] = tail_ok and span.rank == expected_rank
     # dim(A + B) = dim A + dim B exactly when A meets B in 0
-    checks["meets_closure_trivially"] = (
+    checks["meets_closure_trivially"] = tail_ok and (
         span.sum_with(handle.image).rank == span.rank + handle.image.rank
     )
     numbers["tail_part_rank"] = span.rank

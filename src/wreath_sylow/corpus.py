@@ -123,16 +123,12 @@ def run_uniserial_case() -> dict:
     v = TailVector(3, 4, 2, tuple(coords))
     first_outside_aug = sum(v.summand(0)) % 3 != 0
     second_inside_aug = sum(v.summand(1)) % 3 == 0
-    ok = (
-        not generates_uniserial(tw, v)
-        and first_outside_aug
-        and second_inside_aug
-    )
+    uniserial = generates_uniserial(tw, v)
     return {
         "name": "two-summand vector: outside-augmentation alone is not enough",
-        "ok": ok,
+        "ok": not uniserial and first_outside_aug and second_inside_aug,
         "detail": {
-            "generates_uniserial": generates_uniserial(tw, v),
+            "generates_uniserial": uniserial,
             "summand0_outside_augmentation": first_outside_aug,
             "summand1_inside_augmentation": second_inside_aug,
         },

@@ -2,8 +2,9 @@
 
 Vectors are int tuples.  Subspaces are kept in reduced row echelon form
 with pivots in increasing column order, so two subspaces are equal iff
-their basis tuples are equal.  Dimensions reach a few hundred (512 in the
-deepest benchmark cases), with no sparsity or bit packing.
+their basis tuples are equal.  Dimensions reach a few hundred (256 in the
+deepest benchmark cases, 2048 for a depth-11 closure at p = 2, n = 12),
+with no sparsity or bit packing.
 
 The engine acts only by coordinate permutations (entry k of a permutation
 is where basis vector k moves), which spin applies in O(dim).  Dense maps

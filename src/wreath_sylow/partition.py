@@ -13,7 +13,10 @@ give d_0^a_0 * ... * d_{k-1}^a_{k-1}, a function of a block's digits (most
 significant first, 0^0 = 1), the weight sum(a_i * p**i).  The prefix group
 adds to digit i a function of digits 0..i-1, so it maps each monomial to
 itself plus monomials of smaller weight.  Those of weight below p**k - r
-span an invariant subspace of codimension r: by uniseriality, term r.
+span an invariant subspace of codimension r: by uniseriality, term r.  The
+p**k monomials are a basis of all functions of the digits, so each term's
+monomials are already a basis of it, and partition_generators maps them to
+tower elements with no elimination.
 
 Closed forms implemented here (cross-checked against the complement engine
 and the brute-force oracle in the test suite): with j the depth (smallest
@@ -28,7 +31,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .linalg import Subspace
 from .perm import Perm
 from .tower import Tower
 
@@ -57,21 +59,18 @@ class PartitionSpec:
         return self.n
 
 
-def level_chain(tw: Tower, k: int) -> list[Subspace]:
-    """The module chain at level k, from the full space down to zero.
-
-    Term r is spanned by the monomials of weight below p**k - r; there are
-    p**k + 1 terms with codimension-1 steps.
-    """
+def chain_term_basis(tw: Tower, k: int, r: int) -> list[tuple[int, ...]]:
+    """A basis of term r of the level-k module chain: the monomials of weight below p**k - r."""
     if not 0 <= k <= tw.n - 1:
         raise ValueError(f"level {k} out of range")
     p, dim = tw.p, tw.p**k
+    if not 0 <= r <= dim:
+        raise ValueError(f"chain index {r} out of range 0..{dim}")
     digits = [[b // p ** (k - 1 - i) % p for i in range(k)] for b in range(dim)]
-    monomials = [
+    return [
         tuple(math.prod(pow(d[i], w // p**i % p, p) for i in range(k)) % p for d in digits)
-        for w in range(dim)
+        for w in range(dim - r)
     ]
-    return [Subspace.span(p, dim, monomials[: dim - r]) for r in range(dim + 1)]
 
 
 def vector_to_element(tw: Tower, k: int, vec) -> Perm:
@@ -94,10 +93,9 @@ def partition_generators(tw: Tower, spec: PartitionSpec) -> list[Perm]:
     if (spec.p, spec.n) != (tw.p, tw.n):
         raise ValueError("spec does not match the tower")
     return [
-        vector_to_element(tw, k, row)
+        vector_to_element(tw, k, vec)
         for k, i in enumerate(spec.indices)
-        if i < tw.p**k
-        for row in level_chain(tw, k)[i].rows
+        for vec in chain_term_basis(tw, k, i)
     ]
 
 

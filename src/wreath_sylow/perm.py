@@ -121,15 +121,6 @@ class Perm:
         return perm
 
 
-def compose(a: Perm, b: Perm) -> Perm:
-    """a * b, applying b first."""
-    return a * b
-
-
-def inverse(a: Perm) -> Perm:
-    return a.inverse()
-
-
 def conjugate(x: Perm, g: Perm) -> Perm:
     """g * x * g**-1, i.e. x with its points relabelled through g."""
     if x.degree != g.degree:
@@ -144,10 +135,6 @@ def conjugate(x: Perm, g: Perm) -> Perm:
 def commutator(a: Perm, b: Perm) -> Perm:
     """a * b * a**-1 * b**-1."""
     return (a * b) * (b * a).inverse()
-
-
-def order(a: Perm) -> int:
-    return a.order()
 
 
 _CYCLES_RE = re.compile(r"(?:\(\s*\d+(?:[\s,]+\d+)*\s*\))+")

@@ -7,21 +7,22 @@ generators: ``shift_gen(i)`` adds 1 to digit i exactly on the points whose
 digits 0..i-1 all vanish.  It is the full Sylow p-subgroup of the symmetric
 group on p**n points, of order ``p**((p**n - 1) // (p - 1))``.
 
-Three structural layers computed here are used by the complement engine:
+The structural layers computed here are used by the complement engine:
 
 - the *tail filtration*: ``in_tail(tower, j, x)`` holds when x fixes the
   first j digits of every point, i.e. x acts only inside the p**j blocks
   of points sharing a j-digit prefix (the tail subgroups are normal and
   descend from the whole group at j=0 to the trivial group at j=n);
-- the *portrait* of an element: the recursive wreath coordinates (one
-  translation amount per fiber over the last digit, plus a portrait of the
-  induced action on the shorter prefix), whose existence is exactly
-  membership in the tower;
+- the *portrait* of an element: its wreath coordinates as one flat table,
+  row d holding the digit-d translation on each of the p**d d-prefixes;
+  ``decompose`` finds it exactly for the tower's elements, and everything
+  below is read off it, one decomposition per element;
+- the *depth* of elements: the first digit with a nonzero row, since an
+  element fixes the first j digits exactly when its rows 0..j-1 vanish;
 - images in the abelianized tail: ``tail_image(tower, j, x)`` records, for
   each j-prefix block, the abelianization of the local action, giving the
-  vector on which the complement criteria are checked.  It is read off one
-  portrait: the digit-(j+s) translations inside block b are one slice of
-  the portrait's table, and coordinate (s, b) is their sum mod p.
+  vector on which the complement criteria are checked.  Coordinate (s, b)
+  is the sum mod p of the slice of row j+s that lies in block b.
 
 The digits give the other closed forms too: prefix conjugates are built
 one digit at a time (``block_conjugates``), and the chain of each level
@@ -238,61 +239,43 @@ def in_tail(tower: Tower, j: int, x: Perm) -> bool:
     return all(y // size == a // size for a, y in enumerate(x.images))
 
 
-@dataclass(frozen=True)
-class Portrait:
-    """Recursive wreath coordinates of a tower element.
+def decompose(x: Perm, p: int) -> tuple[tuple[int, ...], ...]:
+    """Wreath coordinates of x as rows; raises NotInTower if there are none.
 
-    ``shifts[b]`` is the amount the last digit is translated by on the fiber
-    over prefix b; ``inner`` is the portrait of the induced action on the
-    prefixes.  A height-0 portrait (single point) has empty shifts and no
-    inner portrait.
+    Row d holds the digit-d translation on each of the p**d d-prefixes.  The
+    rows are read from the last digit up: each fiber of p points sharing a
+    prefix must map onto one fiber by a translation, and the induced map on
+    prefixes is decomposed in turn.  This succeeds exactly on the tower.
     """
-
-    shifts: tuple[int, ...]
-    inner: Optional["Portrait"]
-
-
-def decompose(x: Perm, p: int) -> Portrait:
-    """Wreath coordinates of x; raises NotInTower if there are none.
-
-    Succeeds exactly on the elements of the tower: every fiber over a last
-    digit prefix must map to a single fiber by a translation, and the induced
-    prefix action must itself decompose.
-    """
-    d = x.degree
-    if d == 1:
-        return Portrait((), None)
-    if d % p:
-        raise ValueError(f"degree {d} is not a power of {p}")
-    fibers = d // p
-    shifts = []
-    induced = []
-    for b in range(fibers):
-        target = x.images[b * p] // p
-        c = x.images[b * p] % p
-        for y in range(1, p):
-            img = x.images[b * p + y]
-            if img // p != target:
-                raise NotInTower("fiber not preserved", d, b)
-            if img % p != (y + c) % p:
-                raise NotInTower("fiber action is not a translation", d, b)
-        shifts.append(c)
-        induced.append(target)
-    return Portrait(tuple(shifts), decompose(Perm(induced), p))
+    images = x.images
+    rows = []
+    while len(images) > 1:
+        d = len(images)
+        if d % p:
+            raise ValueError(f"degree {d} is not a power of {p}")
+        shifts, induced = [], []
+        for b in range(0, d, p):
+            target, c = divmod(images[b], p)
+            for y in range(1, p):
+                img = images[b + y]
+                if img // p != target:
+                    raise NotInTower("fiber not preserved", d, b // p)
+                if img % p != (y + c) % p:
+                    raise NotInTower("fiber action is not a translation", d, b // p)
+            shifts.append(c)
+            induced.append(target)
+        rows.append(tuple(shifts))
+        images = induced
+    return tuple(reversed(rows))
 
 
-def reconstruct(portrait: Portrait, p: int) -> Perm:
+def reconstruct(rows: Sequence[Sequence[int]], p: int) -> Perm:
     """Inverse of decompose."""
-    if portrait.inner is None:
-        return Perm.identity(1)
-    inner = reconstruct(portrait.inner, p)
-    if len(portrait.shifts) != inner.degree:
-        raise ValueError("shift table length disagrees with inner degree")
-    images = [0] * (inner.degree * p)
-    for b, c in enumerate(portrait.shifts):
-        tb = inner.images[b] * p
-        for y in range(p):
-            images[b * p + y] = tb + (y + c) % p
+    images = [0]
+    for row in rows:
+        if len(row) != len(images):
+            raise ValueError("row length disagrees with the number of prefixes")
+        images = [t * p + (y + c) % p for t, c in zip(images, row) for y in range(p)]
     return Perm._raw(tuple(images))
 
 
@@ -305,16 +288,10 @@ def in_tower(x: Perm, p: int) -> bool:
 
 
 def random_element(tower: Tower, rng) -> Perm:
-    """Uniformly random tower element, built from a random portrait."""
-
-    def rand_portrait(height: int) -> Portrait:
-        if height == 0:
-            return Portrait((), None)
-        fibers = tower.p ** (height - 1)
-        shifts = tuple(rng.randrange(tower.p) for _ in range(fibers))
-        return Portrait(shifts, rand_portrait(height - 1))
-
-    return reconstruct(rand_portrait(tower.n), tower.p)
+    """Uniformly random tower element from random rows, the last digit's drawn first."""
+    p = tower.p
+    rows = [tuple(rng.randrange(p) for _ in range(p**d)) for d in reversed(range(tower.n))]
+    return reconstruct(rows[::-1], p)
 
 
 def abelianization(tower: Tower, x: Perm) -> tuple[int, ...]:
@@ -369,24 +346,30 @@ class TailVector:
 def tail_image(tower: Tower, j: int, x: Perm) -> TailVector:
     """Image of x in the abelianized level-j tail.
 
-    Requires x to be a tower element fixing all j-prefixes.  Coordinate
-    (s, b), the local abelianization at level s, is the sum mod p of the
-    portrait's digit-(j+s) translations in block b: p**s adjacent nodes.
+    Requires x to be a tower element fixing all j-prefixes: NotInTail is
+    raised first, naming the first block moved, then NotInTower.
     """
     p, n = tower.p, tower.n
     if not 0 <= j <= n:
         raise ValueError(f"tail level {j} out of range")
+    if x.degree != tower.degree:
+        raise ValueError(f"degree mismatch: {x.degree} vs {tower.degree}")
     size = p ** (n - j)
     for a, y in enumerate(x.images):
         if y // size != a // size:
             raise NotInTail(f"moves block {a // size} (level {j})")
-    shifts = []  # shifts[d]: the digit-d translations, one per d-prefix
-    node = decompose(x, p)
-    while node.inner is not None:
-        shifts.insert(0, node.shifts)
-        node = node.inner
+    return portrait_tail_image(tower, j, decompose(x, p))
+
+
+def portrait_tail_image(tower: Tower, j: int, rows: Sequence[Sequence[int]]) -> TailVector:
+    """The tail image read off the rows of an element of the level-j tail.
+
+    Coordinate (s, b), the local abelianization at level s, is the sum mod p
+    of the digit-(j+s) translations in block b: p**s adjacent row entries.
+    """
+    p, n = tower.p, tower.n
     coords = tuple(
-        sum(shifts[j + s][b * p**s : (b + 1) * p**s]) % p for s in range(n - j) for b in range(p**j)
+        sum(rows[j + s][b * p**s : (b + 1) * p**s]) % p for s in range(n - j) for b in range(p**j)
     )
     return TailVector(p, n, j, coords)
 
@@ -442,11 +425,20 @@ def depth(tower: Tower, gens: Iterable[Perm]) -> int:
     Tail subgroups are normal, so the normal closure of the generators has
     the same depth.  Raises NotInTower if a generator is off the tower.
     """
+    return portrait_depth(tower, [decompose(g, tower.p) for g in gens])
+
+
+def portrait_depth(tower: Tower, portraits: Iterable[Sequence[Sequence[int]]]) -> int:
+    """The first digit with a nonzero row in any of the portraits; n if none.
+
+    An element fixes the first j digits of every point exactly when its
+    rows 0..j-1 vanish, so this is the depth of the elements.
+    """
     j = tower.n
-    for g in gens:
-        decompose(g, tower.p)
-        while j > 0 and not in_tail(tower, j, g):
-            j -= 1
+    for rows in portraits:
+        if len(rows) != tower.n:
+            raise ValueError(f"degree mismatch: {tower.p ** len(rows)} vs {tower.degree}")
+        j = next((d for d in range(j) if any(rows[d])), j)
     return j
 
 

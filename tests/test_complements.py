@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -158,6 +159,44 @@ def test_verify_rejects_noncommuting_tail_part(monkeypatch):
     cert = ws.verify_complement(handle, decision)
     assert cert.checks["tail_part_abelian"] is False
     assert not cert.passed
+
+
+def test_verify_rejects_tail_part_off_the_tail(monkeypatch):
+    # s0 moves the level-1 blocks; the scale map stays in them but is off the
+    # tower.  Either way the certificate fails its checks, and does not raise.
+    handle = ws.closure_handle(T33, [ws.shift_gen(T33, 1)])
+    decision = ws.decide(handle)
+    assert decision.style == STYLE_CO_SHIFT and decision.levels == (2,)
+    keys = list(ws.verify_complement(handle, decision).checks)
+    for forged in (ws.shift_gen(T33, 0), ws.scale_gen(T33, 2)):
+        monkeypatch.setattr(complements, "co_shift_gen", lambda tw, i: forged)
+        cert = ws.verify_complement(handle, decision)
+        assert list(cert.checks) == keys
+        assert cert.checks["tail_part_in_tail"] is False
+        assert cert.checks["tail_part_rank"] is False
+        assert cert.checks["meets_closure_trivially"] is False
+        assert not cert.passed
+        assert decision_json(handle, decision)["checks"] == cert.checks
+
+
+def test_closure_handle_decomposes_each_generator_once(monkeypatch):
+    calls = []
+
+    tower_module = importlib.import_module("wreath_sylow.tower")  # ws.tower is the constructor
+
+    def counted(x, p, real=tower_module.decompose):
+        calls.append(x)
+        return real(x, p)
+
+    # both names, so a decomposition through a tower helper is counted too
+    monkeypatch.setattr(complements, "decompose", counted)
+    monkeypatch.setattr(tower_module, "decompose", counted)
+    rng = random.Random(31)
+    for tw in (T33, T34, ws.tower(2, 4)):
+        gens = [random_element(tw, rng), gamma(tw) * ws.shift_gen(tw, 2), ws.shift_gen(tw, tw.n - 1)]
+        calls.clear()
+        ws.closure_handle(tw, gens)
+        assert calls == gens
 
 
 def test_verify_rejects_negative_decision():

@@ -9,7 +9,7 @@ from wreath_sylow.linalg import Subspace, lower_central_series
 from wreath_sylow.partition import (
     PartitionSpec,
     all_normal_specs,
-    level_chain,
+    chain_term_basis,
     partition_generators,
     partition_has_complement,
     partition_is_normal,
@@ -33,14 +33,23 @@ def test_spec_validation():
     assert PartitionSpec(3, 3, (0, 0, 0)).depth == 0
 
 
+def _chain(tw, k):
+    # every term of the level-k chain, spanned from its monomial basis
+    return [Subspace.span(tw.p, tw.p**k, chain_term_basis(tw, k, r)) for r in range(tw.p**k + 1)]
+
+
 def test_level_chain_shapes():
-    chain0 = level_chain(T33, 0)
+    chain0 = _chain(T33, 0)
     assert [c.rank for c in chain0] == [1, 0]
     for k in (1, 2):
-        chain = level_chain(T33, k)
+        chain = _chain(T33, k)
         assert len(chain) == 3**k + 1
         assert [c.rank for c in chain] == list(range(3**k, -1, -1))
         assert chain[-1].rank == 0
+        # the monomials are independent: each basis is as long as its term's rank
+        assert [len(chain_term_basis(T33, k, r)) for r in range(3**k + 1)] == [c.rank for c in chain]
+    with pytest.raises(ValueError):
+        chain_term_basis(T33, 1, 4)
 
 
 def test_level_chain_matches_lower_central_series():
@@ -51,7 +60,7 @@ def test_level_chain_matches_lower_central_series():
             reference = lower_central_series(
                 Subspace.full(p, p**k), point_action_matrices(ws.tower(p, k))
             )
-            assert level_chain(tw, k) == reference, (p, n, k)
+            assert _chain(tw, k) == reference, (p, n, k)
 
 
 def test_vector_to_element_is_the_product_of_block_conjugates():
