@@ -24,14 +24,19 @@ every question about N to small exact linear algebra:
     j+1 tower.
 
 verify_complement certifies a positive answer from scratch: the order
-equation, trivial intersection (via ranks of the conjugates' tail images
-and commutation of those whose supports meet), and the scaling identities.
+equation, trivial intersection (via ranks of the tail part's prefix
+conjugates' tail images, their order, and commutation where they meet),
+and the scaling identities.  The conjugates are not built: the level-j tail
+is the direct product of p**j height-(n-j) towers, a prefix shift moves the
+blocks rigidly, so a conjugate of a tail generator is the generator's block
+pieces moved to other blocks.  Each distinct piece is decomposed once, in
+the height-(n-j) tower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .linalg import Subspace, spin
 from .perm import Perm, conjugate, format_cycles
@@ -39,7 +44,8 @@ from .tower import (
     NotInTail,
     NotInTower,
     Tower,
-    block_conjugates,
+    block_pieces,
+    block_transport,
     co_shift_gen,
     decompose,
     portrait_depth,
@@ -177,6 +183,15 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     pairwise with order p (so the tail part is the expected elementary
     abelian group); (iii) invariance: conjugating any complement generator
     by any scale generator gives back the generator or its r-th power.
+
+    The conjugates in (ii) are never built.  A tail generator is read as
+    its block pieces, and each prefix shift is checked once to move blocks
+    rigidly, so a conjugate is the same pieces on the blocks that the
+    prefix representative's block map gives.  A conjugate has the order of
+    the element conjugated; its tail image is its pieces' local images in
+    those columns; and two conjugates commute exactly when the pieces they
+    put on a common block do.  A tail part off the tail fails (ii) except
+    for the order check.
     """
     if not decision.has_complement:
         raise ValueError("nothing to verify for a negative decision")
@@ -198,25 +213,13 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     else:
         tail_gens = [shift_gen(tw, j)]
     expected_rank = len(tail_gens) * tw.p**j
-    conjs: list[Perm] = []
-    for g in tail_gens:
-        conjs.extend(block_conjugates(tw, j, g))
-    try:
-        images = [tail_image(tw, j, d).coords for d in conjs]
-    except (NotInTail, NotInTower):
-        images = None  # a tail part off the tail has no image to check
-    tail_ok = images is not None
+    part = _conjugate_images(tw, j, tail_gens)
+    tail_ok = part is not None
+    images, abelian = part if tail_ok else ([], False)
     checks["tail_part_in_tail"] = tail_ok
-    checks["tail_part_order_p"] = all(d.order() == tw.p for d in conjs)
-    # permutations moving disjoint point sets commute; multiply only the rest
-    moved = [{a for a, y in enumerate(d.images) if a != y} for d in conjs]
-    checks["tail_part_abelian"] = all(
-        a * b == b * a
-        for k, a in enumerate(conjs)
-        for b, mb in zip(conjs[k + 1 :], moved[k + 1 :])
-        if not moved[k].isdisjoint(mb)
-    )
-    span = Subspace.span(tw.p, (tw.n - j) * tw.p**j, images or [])
+    checks["tail_part_order_p"] = all(g.order() == tw.p for g in tail_gens)
+    checks["tail_part_abelian"] = abelian
+    span = Subspace.span(tw.p, (tw.n - j) * tw.p**j, images)
     checks["tail_part_rank"] = tail_ok and span.rank == expected_rank
     # dim(A + B) = dim A + dim B exactly when A meets B in 0
     checks["meets_closure_trivially"] = tail_ok and (
@@ -233,6 +236,72 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
                 ok = False
     checks["scale_invariance"] = ok
     return Certificate(checks, numbers)
+
+
+def _conjugate_images(
+    tw: Tower, j: int, tail_gens: list[Perm]
+) -> Optional[tuple[Iterator[list[int]], bool]]:
+    """Tail images of the tail generators' prefix conjugates, and whether they commute.
+
+    The conjugates come in ``block_conjugates`` order, read off the block
+    pieces.  None when a generator is off the tail, or when a prefix shift
+    does not move the blocks rigidly.
+    """
+    p, blocks = tw.p, tw.p**j
+    transports = [block_transport(tw, j, shift_gen(tw, i)) for i in range(j)]
+    if None in transports:
+        return None
+    try:
+        pieces = [block_pieces(tw, j, g) for g in tail_gens]
+    except NotInTail:
+        return None
+    local_images = {}
+    for piece in {piece for ps in pieces for piece in ps.values()}:
+        try:
+            rows = decompose(Perm._raw(piece), p)
+        except NotInTower:
+            return None
+        local_images[piece] = portrait_tail_image(Tower(p, tw.n - j, tw.r), 0, rows).coords
+
+    # landings(c)[b] is where prefix_rep(j, b) takes block c: the rep applies
+    # shift i to the power of digit i of b, the last digit first
+    powers = []
+    for bm in transports:
+        pw = [tuple(range(blocks))]
+        for _ in range(1, p):
+            pw.append(tuple(bm[t] for t in pw[-1]))
+        powers.append(pw)
+
+    def landings(c: int) -> list[int]:
+        out = [c]
+        for pw in reversed(powers):
+            out = [m[y] for m in pw for y in out]
+        return out
+
+    lands = [{c: landings(c) for c in ps} for ps in pieces]
+    landed: dict = {}  # piece -> the blocks some conjugate puts it on
+    for ps, ls in zip(pieces, lands):
+        for c, piece in ps.items():
+            landed.setdefault(piece, set()).update(ls[c])
+    # both conjugates fix every block; on a shared one they act by their pieces
+    distinct = list(landed)
+    abelian = all(
+        tuple(a[t] for t in b) == tuple(b[t] for t in a)
+        for k, a in enumerate(distinct)
+        for b in distinct[k + 1 :]
+        if not landed[a].isdisjoint(landed[b])
+    )
+
+    def image(ps: dict, ls: dict, b: int) -> list[int]:
+        v = [0] * ((tw.n - j) * blocks)
+        for c, piece in ps.items():
+            for s, x in enumerate(local_images[piece]):
+                v[s * blocks + ls[c][b]] = x
+        return v
+
+    # made one at a time as the span takes them: p**j vectors of length dim
+    images = (image(ps, ls, b) for ps, ls in zip(pieces, lands) for b in range(blocks))
+    return images, abelian
 
 
 def scale_orbit(handle: NormalClosure) -> list[tuple[int, NormalClosure, bool]]:

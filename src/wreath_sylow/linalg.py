@@ -15,6 +15,7 @@ augmentation_subspace and lower_central_series, which tests compare against.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,15 +48,16 @@ class _Echelon:
         piv = next((k for k, x in enumerate(w) if x), None)
         if piv is None:
             return False
-        inv = pow(w[piv], -1, p)
-        w = [x * inv % p for x in w]
+        if w[piv] != 1:
+            inv = pow(w[piv], -1, p)
+            w = [x * inv % p for x in w]
         # clear the new pivot column from the existing rows, keep pivot order
         for row in self.rows:
             c = row[piv]
             if c:
                 for k in range(piv, self.width):
                     row[k] = (row[k] - c * w[k]) % p
-        at = next((i for i, q in enumerate(self.pivots) if q > piv), len(self.pivots))
+        at = bisect.bisect(self.pivots, piv)
         self.rows.insert(at, w)
         self.pivots.insert(at, piv)
         return True
@@ -63,8 +65,18 @@ class _Echelon:
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.residual(v))
 
-    def snapshot(self) -> Matrix:
-        return tuple(tuple(row) for row in self.rows)
+    def take_rows(self) -> Matrix:
+        """The basis as canonical tuples, emptying the accumulator.
+
+        Each list row is dropped as its tuple is made, so the two copies of a
+        dim x dim basis never coexist.
+        """
+        rows, out = self.rows, []
+        rows.reverse()
+        while rows:
+            out.append(tuple(rows.pop()))
+        self.pivots = []
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -82,7 +94,7 @@ class Subspace:
             if len(v) != dim:
                 raise ValueError(f"vector length {len(v)} != ambient dim {dim}")
             ech.insert(v)
-        return cls(p, dim, ech.snapshot())
+        return cls(p, dim, ech.take_rows())
 
     @classmethod
     def zero(cls, p: int, dim: int) -> "Subspace":
@@ -99,13 +111,19 @@ class Subspace:
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.dim:
             raise ValueError(f"vector length {len(v)} != ambient dim {self.dim}")
-        ech = self._ech()
-        return ech.contains(v)
+        return self._view().contains(v)
+
+    def _view(self) -> _Echelon:
+        """An echelon on the basis tuples themselves: for residuals, not insert."""
+        ech = _Echelon(self.p, self.dim)
+        ech.rows = list(self.rows)
+        ech.pivots = [next(k for k, x in enumerate(r) if x) for r in self.rows]
+        return ech
 
     def _ech(self) -> _Echelon:
-        ech = _Echelon(self.p, self.dim)
+        """An echelon on a copy of the basis, which insert may extend."""
+        ech = self._view()
         ech.rows = [list(r) for r in self.rows]
-        ech.pivots = [next(k for k, x in enumerate(r) if x) for r in self.rows]
         return ech
 
     def _check_compatible(self, other: "Subspace"):
@@ -115,8 +133,15 @@ class Subspace:
             )
 
     def sum_with(self, other: "Subspace") -> "Subspace":
+        """Start from the larger basis, already reduced, and insert the smaller one."""
         self._check_compatible(other)
-        return Subspace.span(self.p, self.dim, self.rows + other.rows)
+        big, small = (self, other) if self.rank >= other.rank else (other, self)
+        if not small.rows:
+            return big
+        ech = big._ech()
+        for r in small.rows:
+            ech.insert(r)
+        return Subspace(self.p, self.dim, ech.take_rows())
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Via the left kernel of the stacked bases."""
@@ -135,7 +160,7 @@ class Subspace:
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        ech = other._ech()
+        ech = other._view()
         return all(ech.contains(r) for r in self.rows)
 
     def to_json(self) -> dict:
@@ -219,7 +244,7 @@ def spin(
             w = permute(v, q)
             if ech.insert(w):
                 queue.append(w)
-    return Subspace(p, dim, ech.snapshot())
+    return Subspace(p, dim, ech.take_rows())
 
 
 def fixed_subspace(p: int, dim: int, actions: Sequence[Matrix]) -> Subspace:

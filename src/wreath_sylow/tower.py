@@ -12,7 +12,10 @@ The structural layers computed here are used by the complement engine:
 - the *tail filtration*: ``in_tail(tower, j, x)`` holds when x fixes the
   first j digits of every point, i.e. x acts only inside the p**j blocks
   of points sharing a j-digit prefix (the tail subgroups are normal and
-  descend from the whole group at j=0 to the trivial group at j=n);
+  descend from the whole group at j=0 to the trivial group at j=n).  Such
+  an x is read as its *block pieces* (``block_pieces``), one local image
+  tuple per block it moves, and a prefix shift carries blocks onto blocks
+  rigidly (``block_transport``), so its conjugates only move the pieces;
 - the *portrait* of an element: its wreath coordinates as one flat table,
   row d holding the digit-d translation on each of the p**d d-prefixes;
   ``decompose`` finds it exactly for the tower's elements, and everything
@@ -393,6 +396,43 @@ def block_map(tower: Tower, j: int, g: Perm) -> tuple[int, ...]:
             raise ValueError(f"block action ill-defined: block {b} is split")
         out.append(target)
     return tuple(out)
+
+
+def block_transport(tower: Tower, j: int, g: Perm) -> Optional[tuple[int, ...]]:
+    """The block map of g if g moves each j-prefix block rigidly; else None.
+
+    Rigidly means onto a block with every point's offset in its block kept,
+    as a prefix shift does: it changes only a digit before j.  Conjugating
+    by such a g then moves a tail element's pieces (see block_pieces) to
+    the image blocks unchanged.
+    """
+    size = tower.p ** (tower.n - j)
+    out = []
+    for b in range(0, tower.degree, size):
+        t = g.images[b]
+        if t % size or g.images[b : b + size] != tuple(range(t, t + size)):
+            return None
+        out.append(t // size)
+    return tuple(out)
+
+
+def block_pieces(tower: Tower, j: int, x: Perm) -> dict[int, tuple[int, ...]]:
+    """The local image tuple of x on each j-prefix block that it moves.
+
+    Raises NotInTail if x moves a point out of its block.  The level-j tail
+    is the direct product of the blocks' height-(n-j) towers: x is in it
+    exactly when it keeps its blocks and each piece lies in that tower.
+    """
+    if not in_tail(tower, j, x):
+        raise NotInTail(f"moves a block (level {j})")
+    size = tower.p ** (tower.n - j)
+    out = {}
+    for c in range(tower.p**j):
+        base = c * size
+        block = x.images[base : base + size]
+        if block != tuple(range(base, base + size)):
+            out[c] = tuple(y - base for y in block)
+    return out
 
 
 def _coordinate_perm(tower: Tower, j: int, g: Perm) -> tuple[int, ...]:

@@ -58,7 +58,7 @@ def level_sums(v: TailVector) -> tuple[int, ...]:
 def _require_invariant(tower: Tower, j: int, u: Subspace) -> None:
     if u.dim != (tower.n - j) * tower.p**j:
         raise ValueError(f"subspace dim {u.dim} does not match level {j}")
-    ech = u._ech()
+    ech = u._view()
     for q in tail_coordinate_perms(tower, j):
         if not all(ech.contains(permute(row, q)) for row in u.rows):
             raise ValueError("subspace is not invariant under the prefix action")
@@ -73,7 +73,7 @@ def module_invariants(tower: Tower, j: int, u: Subspace) -> tuple[int, Subspace]
     """
     p, m, blocks = tower.p, tower.n - j, tower.p**j
     sums = [level_sums(TailVector(p, tower.n, j, row)) for row in u.rows]
-    ech = u._ech()
+    ech = u._view()
     residuals = [
         ech.residual([0] * (s * blocks) + [1] * blocks + [0] * ((m - 1 - s) * blocks))
         for s in range(m)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import wreath_sylow as ws
+from reference import verify_complement_all_conjugates
 from wreath_sylow import complements, oracle
 from wreath_sylow.complements import (
     REASON_NOT_SUMMAND,
@@ -14,7 +15,7 @@ from wreath_sylow.complements import (
     tail_commutator_exponent,
 )
 from wreath_sylow.perm import Perm, conjugate
-from wreath_sylow.tower import prefix_rep, random_element
+from wreath_sylow.tower import block_conjugates, prefix_rep, random_element
 from wreath_sylow.uniserial import STYLE_CO_SHIFT, STYLE_PREFIX
 
 T33 = ws.tower(3, 3)
@@ -316,3 +317,173 @@ def test_decision_json_shape():
     assert report["verdict"] == "NoComplement"
     assert report["reason"] == REASON_SOCLE_GAP
     assert report["orders"]["C"] is None
+
+
+# -- the block-piece certificate against the all-conjugates reference --------
+
+KINDS = {STYLE_CO_SHIFT, STYLE_PREFIX, REASON_NOT_SUMMAND, REASON_SOCLE_GAP}
+DIFFERENTIAL_SIZES = [(2, 4), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3)]
+
+
+def _unit(tw, j, k, b):
+    """shift_gen(k) moved to block b: tail image the unit vector (k - j, b)."""
+    return conjugate(ws.shift_gen(tw, k), prefix_rep(tw, j, b))
+
+
+def _diagonal(tw, j, k):
+    """Product of the block conjugates of shift_gen(k): the level-(k - j) diagonal."""
+    out = Perm.identity(tw.degree)
+    for x in block_conjugates(tw, j, ws.shift_gen(tw, k)):
+        out = out * x
+    return out
+
+
+def _shaped_gens(tw, j, kind, rng):
+    """Generators of depth j whose tail images give the verdict kind.
+
+    Every nonzero submodule of a level contains its diagonal, and a vector
+    with a nonzero block sum spans the whole level; the shapes follow.
+    """
+    p, m = tw.p, tw.n - j
+    unit = lambda: rng.randrange(1, p)  # noqa: E731
+    block = lambda: rng.randrange(p**j)  # noqa: E731
+    if kind == STYLE_CO_SHIFT:
+        levels = [t for t in range(m) if t == 0 or rng.random() < 0.5]
+        return [_unit(tw, j, j + t, block()) ** unit() for t in levels]
+    if kind == REASON_NOT_SUMMAND:
+        if m >= 2 and rng.random() < 0.5:
+            t = rng.randrange(1, m)
+            return [_diagonal(tw, j, j) ** unit() * _diagonal(tw, j, j + t) ** unit()]
+        b1 = block()
+        b2 = (b1 + rng.randrange(1, p**j)) % p**j
+        return [_unit(tw, j, j, b1) * _unit(tw, j, j, b2).inverse()]
+    s = rng.randrange(1, m)
+    head = _diagonal(tw, j, j) ** unit() * _unit(tw, j, j + s, block()) ** unit()
+    others = [t for t in range(1, m) if t != s]
+    if kind == REASON_SOCLE_GAP:
+        others = rng.sample(others, rng.randrange(m - 2))
+    return [head] + [_unit(tw, j, j + t, block()) ** unit() for t in others]
+
+
+def _feasible_kinds(n, j):
+    m = n - j
+    kinds = [STYLE_CO_SHIFT]
+    if j >= 1:
+        kinds.append(REASON_NOT_SUMMAND)
+        kinds += [STYLE_PREFIX] if m >= 2 else []
+        kinds += [REASON_SOCLE_GAP] if m >= 3 else []
+    return kinds
+
+
+def test_block_piece_certificate_matches_all_conjugates():
+    rng = random.Random(7)
+    seen = set()
+    positives = 0
+    for p, n in DIFFERENTIAL_SIZES:
+        tw = ws.tower(p, n)
+        samples = [([], STYLE_CO_SHIFT), ([random_element(tw, rng)], None)]
+        for j in range(n):
+            for kind in _feasible_kinds(n, j):
+                samples += [(_shaped_gens(tw, j, kind, rng), kind) for _ in range(3)]
+        for gens, kind in samples:
+            handle = ws.closure_handle(tw, gens)
+            decision = ws.decide(handle)
+            got = decision.style if decision.has_complement else decision.reason
+            assert kind in (None, got), (p, n, handle.j, kind, got)
+            seen.add(got)
+            if not decision.has_complement:
+                continue
+            positives += 1
+            cert = ws.verify_complement(handle, decision)
+            ref = verify_complement_all_conjugates(handle, decision)
+            assert cert.passed, (p, n, handle.j, cert.checks)
+            assert (cert.checks, cert.numbers) == (ref.checks, ref.numbers), (p, n, handle.j)
+    assert seen == KINDS
+    assert positives >= 90
+
+
+def _forgeries(tw, j):
+    """Tail parts for a depth-j handle: (label, element)."""
+    s = ws.shift_gens(tw)
+    out = [
+        ("spread, commuting", _unit(tw, j, tw.n - 1, 0) * _unit(tw, j, tw.n - 1, 1)),
+        ("spread, not commuting", s[j] * _unit(tw, j, j + 1, 1)),
+        ("order p^2", s[j] * s[j + 1]),
+        ("off the tail", s[0]),
+    ]
+    if tw.p > 2:  # the scaling maps are the identity at p = 2
+        out.append(("off the tower", ws.scale_gen(tw, tw.n - 1)))
+    return out
+
+
+def test_forged_tail_parts_match_all_conjugates(monkeypatch):
+    real = complements.co_shift_gen
+    for tw, j in [(T33, 1), (T34, 1), (T34, 2), (ws.tower(2, 4), 1), (ws.tower(2, 4), 2), (ws.tower(5, 3), 1)]:
+        handle = ws.closure_handle(tw, [ws.shift_gen(tw, j)])
+        decision = ws.decide(handle)
+        assert decision.style == STYLE_CO_SHIFT and decision.levels == tuple(range(j + 1, tw.n))
+        for label, forged in _forgeries(tw, j):
+            if label == "order p^2":
+                assert forged.order() == tw.p**2
+            # forge the first tail generator only; the others stay genuine
+            first = decision.levels[0]
+            monkeypatch.setattr(
+                complements, "co_shift_gen", lambda t, i, f=forged: f if i == first else real(t, i)
+            )
+            cert = ws.verify_complement(handle, decision)
+            ref = verify_complement_all_conjugates(handle, decision)
+            key = (tw.p, tw.n, j, label)
+            if ref.checks["tail_part_in_tail"]:
+                assert (cert.checks, cert.numbers) == (ref.checks, ref.numbers), key
+            else:
+                assert not cert.passed, key
+                assert list(cert.checks) == list(ref.checks), key
+                assert all(cert.checks[k] is False for k, ok in ref.checks.items() if not ok), key
+                assert cert.checks["tail_part_abelian"] is False, key
+            if label == "spread, not commuting":
+                assert cert.checks["tail_part_abelian"] is False, key
+            if label == "spread, commuting":
+                assert cert.checks["tail_part_abelian"] is True, key
+        monkeypatch.setattr(complements, "co_shift_gen", real)
+
+
+def test_verify_complement_builds_no_conjugates(monkeypatch):
+    tower_module = importlib.import_module("wreath_sylow.tower")
+    calls = {"block_conjugates": 0, "tail_image": 0, "decompose": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counting(name, getattr(tower_module, name))
+        for module in (tower_module, complements):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    rng = random.Random(3)
+    for tw in (T34, ws.tower(2, 5), ws.tower(5, 3)):
+        for j in range(tw.n - 1):
+            styles = [STYLE_CO_SHIFT] + ([STYLE_PREFIX] if j else [])
+            for style in styles:
+                handle = ws.closure_handle(tw, _shaped_gens(tw, j, style, rng))
+                decision = ws.decide(handle)
+                assert decision.style == style
+                tail_gens = (
+                    [ws.co_shift_gen(tw, i) for i in decision.levels]
+                    if decision.style == STYLE_CO_SHIFT
+                    else [ws.shift_gen(tw, j)]
+                )
+                size = tw.p ** (tw.n - j)
+                pieces = {
+                    tuple(y - c for y in g.images[c : c + size])
+                    for g in tail_gens
+                    for c in range(0, tw.degree, size)
+                } - {tuple(range(size))}
+                for name in calls:
+                    calls[name] = 0
+                assert ws.verify_complement(handle, decision).passed
+                assert calls["block_conjugates"] == calls["tail_image"] == 0
+                assert calls["decompose"] <= len(pieces), (tw, j, calls)

@@ -66,6 +66,8 @@ def test_modular_dimension_law(seed):
     u = Subspace.span(p, dim, mk())
     v = Subspace.span(p, dim, mk())
     s, i = u.sum_with(v), u.intersect(v)
+    # the sum grows the larger basis; it is the canonical span either way round
+    assert s == v.sum_with(u) == Subspace.span(p, dim, u.rows + v.rows)
     assert s.rank + i.rank == u.rank + v.rank
     assert i.is_subspace_of(u) and i.is_subspace_of(v)
     assert u.is_subspace_of(s) and v.is_subspace_of(s)

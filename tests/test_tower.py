@@ -11,6 +11,8 @@ from wreath_sylow.tower import (
     NotInTower,
     block_conjugates,
     block_map,
+    block_pieces,
+    block_transport,
     in_tower,
     point_action_matrices,
     prefix_rep,
@@ -320,6 +322,37 @@ def test_tail_action_fixes_diagonal():
     gamma_v = ws.TailVector(3, 3, 1, (1, 1, 1, 0, 0, 0))
     for g in ws.shift_gens(T33)[:1]:
         assert tail_action(T33, 1, g, gamma_v) == gamma_v
+
+
+def test_block_transport_of_prefix_shifts():
+    # a prefix shift moves blocks rigidly; a shift at or below level j
+    # keeps every block but moves points inside one
+    for p, n in [(2, 4), (3, 3), (5, 2)]:
+        tw = ws.tower(p, n)
+        for j in range(n + 1):
+            for i in range(n):
+                g = ws.shift_gen(tw, i)
+                expected = block_map(tw, j, g) if i < j else None
+                assert block_transport(tw, j, g) == expected, (p, n, j, i)
+    assert block_transport(T33, 1, parse_cycles("(0 9)(1 10)(2 11)", 27)) is None
+
+
+def test_block_pieces_rebuild_the_element():
+    rng = random.Random(8)
+    for p, n in [(2, 4), (3, 3), (5, 2)]:
+        tw = ws.tower(p, n)
+        for j in range(n):
+            x = _random_tail_element(tw, j, rng)
+            size = p ** (n - j)
+            pieces = block_pieces(tw, j, x)
+            images = list(range(tw.degree))
+            for c, local in pieces.items():
+                assert local != tuple(range(size))
+                images[c * size : (c + 1) * size] = [c * size + y for y in local]
+            assert tuple(images) == x.images
+    assert block_pieces(T33, 1, ws.shift_gen(T33, 2)) == {0: (1, 2, 0, 3, 4, 5, 6, 7, 8)}
+    with pytest.raises(NotInTail):
+        block_pieces(T33, 1, ws.shift_gen(T33, 0))
 
 
 def test_block_map_ill_defined():
