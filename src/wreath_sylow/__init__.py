@@ -46,13 +46,8 @@ from .uniserial import (
     LevelChoice,
     STYLE_CO_SHIFT,
     STYLE_PREFIX,
-    choose_levels,
     generates_uniserial,
-    is_direct_summand,
     level_sums,
-    socle_coordinates,
-    summand_ranks,
-    summand_subspace,
 )
 from .words import parse_generators, parse_word
 

@@ -227,7 +227,8 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     )
     numbers["tail_part_rank"] = span.rank
 
-    etas = scale_gens(tw)
+    # conjugating by an identity scale generator (every one at p = 2) gives g back
+    etas = [eta for eta in scale_gens(tw) if not eta.is_identity]
     ok = True
     for eta in etas:
         for g in decision.gens:

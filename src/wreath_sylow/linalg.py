@@ -2,9 +2,10 @@
 
 Vectors are int tuples.  Subspaces are kept in reduced row echelon form
 with pivots in increasing column order, so two subspaces are equal iff
-their basis tuples are equal.  Dimensions reach a few hundred (256 in the
-deepest benchmark cases, 2048 for a depth-11 closure at p = 2, n = 12),
-with no sparsity or bit packing.
+their basis tuples are equal; a subspace finds its pivots once, on first
+use.  Dimensions reach a few hundred (256 in the deepest benchmark cases,
+2048 for a depth-11 closure at p = 2, n = 12), with no sparsity or bit
+packing.
 
 The engine acts only by coordinate permutations (entry k of a permutation
 is where basis vector k moves), which spin applies in O(dim).  Dense maps
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -113,17 +115,22 @@ class Subspace:
             raise ValueError(f"vector length {len(v)} != ambient dim {self.dim}")
         return self._view().contains(v)
 
+    @cached_property
+    def _pivots(self) -> tuple[int, ...]:
+        return tuple(next(k for k, x in enumerate(r) if x) for r in self.rows)
+
     def _view(self) -> _Echelon:
-        """An echelon on the basis tuples themselves: for residuals, not insert."""
+        """An echelon on the basis tuples and pivots themselves: for residuals, not insert."""
         ech = _Echelon(self.p, self.dim)
         ech.rows = list(self.rows)
-        ech.pivots = [next(k for k, x in enumerate(r) if x) for r in self.rows]
+        ech.pivots = self._pivots
         return ech
 
     def _ech(self) -> _Echelon:
         """An echelon on a copy of the basis, which insert may extend."""
         ech = self._view()
         ech.rows = [list(r) for r in self.rows]
+        ech.pivots = list(self._pivots)
         return ech
 
     def _check_compatible(self, other: "Subspace"):

@@ -195,15 +195,30 @@ def is_normal_under(sub: GroupSet, ambient_gens: Sequence) -> bool:
     )
 
 
+def _commutators_with(group: GroupSet, sub, cap: int) -> GroupSet:
+    """[G, B]: the subgroup generated by the g b g^-1 b^-1, g in the group, b in sub.
+
+    Read off the group's index: sub must lie in the group.  The gens are the
+    distinct commutators, sorted.
+    """
+    ix = group._index
+    col = ix.col
+    inv = [col(k).index(ix.e) for k in range(len(ix.elems))]
+    right = [(col(b), col(inv[b])) for b in sorted(ix.pos[x] for x in sub)]
+    comms = set()
+    for g in range(len(ix.elems)):
+        back = col(inv[g])
+        comms.update(b_inv[back[b_col[g]]] for b_col, b_inv in right)
+    gens = sorted(comms)
+    members = ix.closure([ix.e], gens, cap)
+    return GroupSet(
+        frozenset(ix.elems[i] for i in members), tuple(ix.elems[k] for k in gens), group.identity
+    )
+
+
 def derived_subgroup(group: GroupSet, cap: int = BFS_CAP) -> GroupSet:
     """Commutator subgroup of a fully enumerated group."""
-    elems = group.sorted_elements()
-    comms = set()
-    for a in elems:
-        ai = a.inverse()
-        for b in elems:
-            comms.add(a * b * ai * b.inverse())
-    return bfs_closure(sorted(comms), cap=cap, identity=group.identity)
+    return _commutators_with(group, group.elements, cap)
 
 
 def derived_subgroup_from_gens(gens: Sequence, cap: int = BFS_CAP) -> GroupSet:
@@ -383,26 +398,16 @@ def max_abelian_stats(group: GroupSet, p: int, cap: int = SEARCH_CAP) -> tuple[i
     return exponent, orders.count(orders[-1])
 
 
-def all_abelian_subgroups_of_order(group: GroupSet, order: int, cap: int = SEARCH_CAP) -> list[GroupSet]:
-    """Every abelian subgroup of the given order, sorted by elements."""
-    return [sub for sub in all_abelian_subgroups(group, cap) if sub.order == order]
-
-
 def commutator_chain(group: GroupSet, start: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSet]:
     """The chain B, [G, B], [G, [G, B]], ... down to the trivial subgroup.
 
-    Commutators are taken over all element pairs, so no generation subtlety
-    can bite at these sizes.
+    B must be a subgroup of G.  Commutators are taken over all element
+    pairs, so no generation subtlety can bite at these sizes.
     """
     chain = [start]
     cur = start
     while cur.order > 1:
-        comms = set()
-        for g in group.elements:
-            gi = g.inverse()
-            for b in cur.elements:
-                comms.add(g * b * gi * b.inverse())
-        nxt = bfs_closure(sorted(comms), cap=cap, identity=group.identity)
+        nxt = _commutators_with(group, cur.elements, cap)
         if nxt.order >= cur.order:
             raise RuntimeError("commutator chain failed to descend")
         chain.append(nxt)

@@ -12,10 +12,9 @@ every intended use), so all operations are exact and allocation-cheap.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class Perm:
@@ -169,8 +168,3 @@ def format_cycles(a: Perm) -> str:
         return "()"
     return "".join("(" + " ".join(str(pt) for pt in cyc) + ")" for cyc in cycles)
 
-
-def all_perms(degree: int) -> Iterator[Perm]:
-    """Every element of the full symmetric group, in lexicographic order."""
-    for images in itertools.permutations(range(degree)):
-        yield Perm._raw(images)

@@ -15,7 +15,9 @@ The structural layers computed here are used by the complement engine:
   descend from the whole group at j=0 to the trivial group at j=n).  Such
   an x is read as its *block pieces* (``block_pieces``), one local image
   tuple per block it moves, and a prefix shift carries blocks onto blocks
-  rigidly (``block_transport``), so its conjugates only move the pieces;
+  rigidly (``block_transport``), so its conjugates only move the pieces.
+  The same block map gives the prefix shifts' coordinate permutations of
+  the tail vectors (``tail_coordinate_perms``);
 - the *portrait* of an element: its wreath coordinates as one flat table,
   row d holding the digit-d translation on each of the p**d d-prefixes;
   ``decompose`` finds it exactly for the tower's elements, and everything
@@ -46,7 +48,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .linalg import Matrix, perm_action_matrix, permute
+from .linalg import Matrix, perm_action_matrix
 from .perm import Perm, conjugate
 
 
@@ -282,14 +284,6 @@ def reconstruct(rows: Sequence[Sequence[int]], p: int) -> Perm:
     return Perm._raw(tuple(images))
 
 
-def in_tower(x: Perm, p: int) -> bool:
-    try:
-        decompose(x, p)
-    except NotInTower:
-        return False
-    return True
-
-
 def random_element(tower: Tower, rng) -> Perm:
     """Uniformly random tower element from random rows, the last digit's drawn first."""
     p = tower.p
@@ -377,27 +371,6 @@ def portrait_tail_image(tower: Tower, j: int, rows: Sequence[Sequence[int]]) -> 
     return TailVector(p, n, j, coords)
 
 
-def block_map(tower: Tower, j: int, g: Perm) -> tuple[int, ...]:
-    """The permutation g induces on j-prefix blocks.
-
-    Accepts either a degree p**j permutation (already acting on blocks) or a
-    degree p**n one mapping each block onto a block.
-    """
-    blocks = tower.p**j
-    if g.degree == blocks:
-        return g.images
-    if g.degree != tower.degree:
-        raise ValueError(f"degree {g.degree} fits neither blocks nor points")
-    size = tower.degree // blocks
-    out = []
-    for b in range(blocks):
-        target = g.images[b * size] // size
-        if any(g.images[b * size + y] // size != target for y in range(size)):
-            raise ValueError(f"block action ill-defined: block {b} is split")
-        out.append(target)
-    return tuple(out)
-
-
 def block_transport(tower: Tower, j: int, g: Perm) -> Optional[tuple[int, ...]]:
     """The block map of g if g moves each j-prefix block rigidly; else None.
 
@@ -435,23 +408,18 @@ def block_pieces(tower: Tower, j: int, x: Perm) -> dict[int, tuple[int, ...]]:
     return out
 
 
-def _coordinate_perm(tower: Tower, j: int, g: Perm) -> tuple[int, ...]:
-    bm = block_map(tower, j, g)
-    return tuple(s * len(bm) + t for s in range(tower.n - j) for t in bm)
-
-
-def tail_action(tower: Tower, j: int, g: Perm, v: TailVector) -> TailVector:
-    """Permute the block coordinates of v by the block action of g."""
-    return TailVector(v.p, v.n, v.j, permute(v.coords, _coordinate_perm(tower, j, g)))
-
-
 def tail_coordinate_perms(tower: Tower, j: int) -> list[tuple[int, ...]]:
     """The first j shift generators as permutations of tail-vector coordinates.
 
     Entry k is the coordinate that basis vector k moves to, the convention
-    of ``linalg.perm_action_matrix``.
+    of ``linalg.perm_action_matrix``.  A prefix shift moves the blocks
+    rigidly, so it moves every level's slice by its block map.
     """
-    return [_coordinate_perm(tower, j, shift_gen(tower, i)) for i in range(j)]
+    out = []
+    for i in range(j):
+        bm = block_transport(tower, j, shift_gen(tower, i))
+        out.append(tuple(s * len(bm) + t for s in range(tower.n - j) for t in bm))
+    return out
 
 
 def point_action_matrices(tower: Tower) -> list[Matrix]:

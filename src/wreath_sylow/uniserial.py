@@ -3,23 +3,24 @@
 At level j the abelianized tail splits as a direct sum of n-j copies of the
 natural block-permutation module F_p^(p^j) of the height-j prefix group,
 one copy per digit level j..n-1.  Each copy is uniserial: its invariant
-subspaces form a single chain of length p^j.  The helpers here answer the
-questions the complement engine needs about an invariant subspace U of
+subspaces form a single chain of length p^j.  Two functions answer the
+questions the complement engine asks about an invariant subspace U of
 this module:
 
-- its *socle coordinates*: the fixed vectors of U are combinations of the
-  per-level diagonal vectors, and reading off the diagonal multipliers
-  drops U's socle into F_p^(n-j);
-- whether U is a *direct summand* (the dimension of U modulo the
-  augmentation subspace equals its socle dimension);
-- a *level choice*: a set Z of digit levels whose full summands complement
-  U, preferring choices that avoid level j itself.
+- ``module_invariants`` gives U's rank modulo the augmentation subspace
+  and its *socle coordinates*: the fixed vectors of U are combinations of
+  the per-level diagonal vectors, and reading off the diagonal multipliers
+  drops U's socle into F_p^(n-j).  U is a *direct summand* exactly when
+  the two ranks agree;
+- ``levels_from_socle`` turns the socle coordinates of a direct summand
+  into a *level choice*: a set Z of digit levels whose full summands
+  complement U, preferring choices that avoid level j itself.
 
 The prefix group permutes the blocks transitively, so the per-summand
 augmentation subspace is the sum-zero hyperplane and the per-summand fixed
-space is the diagonal line.  These closed forms are what is computed (see
-module_invariants); the generic fixed and augmentation solves in linalg
-remain only as the reference the tests compare against.
+space is the diagonal line.  These closed forms are what is computed; the
+generic fixed and augmentation solves in linalg remain only as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Subspace, left_kernel, permute, spin
+from .linalg import Subspace, left_kernel, spin
 from .tower import TailVector, Tower, tail_coordinate_perms
 
 # which complement the engine builds from a level choice
@@ -50,18 +51,9 @@ def level_sums(v: TailVector) -> tuple[int, ...]:
     F_p^(n-j); note that it kills the diagonal vectors themselves for j >= 1
     (a constant block row sums to p^j * c = 0), which is why socle vectors
     are coordinatized by their diagonal multipliers instead, see
-    socle_coordinates.
+    module_invariants.
     """
     return tuple(sum(v.summand(s)) % v.p for s in range(v.levels))
-
-
-def _require_invariant(tower: Tower, j: int, u: Subspace) -> None:
-    if u.dim != (tower.n - j) * tower.p**j:
-        raise ValueError(f"subspace dim {u.dim} does not match level {j}")
-    ech = u._view()
-    for q in tail_coordinate_perms(tower, j):
-        if not all(ech.contains(permute(row, q)) for row in u.rows):
-            raise ValueError("subspace is not invariant under the prefix action")
 
 
 def module_invariants(tower: Tower, j: int, u: Subspace) -> tuple[int, Subspace]:
@@ -82,33 +74,6 @@ def module_invariants(tower: Tower, j: int, u: Subspace) -> tuple[int, Subspace]
         Subspace.span(p, m, sums).rank,
         Subspace.span(p, m, left_kernel(residuals, p, u.dim)),
     )
-
-
-def socle_coordinates(tower: Tower, j: int, u: Subspace) -> Subspace:
-    """Diagonal multipliers of the fixed vectors of u, as a subspace of F_p^(n-j).
-
-    A fixed vector is constant on the blocks of each level; coordinate s of
-    its image is that constant at level s.
-    """
-    _require_invariant(tower, j, u)
-    return module_invariants(tower, j, u)[1]
-
-
-def summand_ranks(tower: Tower, j: int, u: Subspace) -> tuple[int, int]:
-    """(rank of u modulo the augmentation subspace, rank of u's fixed part).
-
-    The two numbers agree exactly on direct summands, where both count the
-    full-length uniserial constituents.
-    """
-    _require_invariant(tower, j, u)
-    mod_aug, soc = module_invariants(tower, j, u)
-    return mod_aug, soc.rank
-
-
-def is_direct_summand(tower: Tower, j: int, u: Subspace) -> bool:
-    """True iff u is a direct summand of the level-j module."""
-    mod_aug, soc = summand_ranks(tower, j, u)
-    return mod_aug == soc
 
 
 def generates_uniserial(tower: Tower, v: TailVector) -> bool:
@@ -132,27 +97,6 @@ def generates_uniserial(tower: Tower, v: TailVector) -> bool:
         if spin(v.p, v.dim, [alone.coords], perms).rank == full:
             return True
     return False
-
-
-def summand_subspace(tower: Tower, j: int, levels) -> Subspace:
-    """The direct sum of the full summands at the given digit levels."""
-    blocks = tower.p**j
-    dim = (tower.n - j) * blocks
-    vecs = []
-    for lvl in levels:
-        s = lvl - j
-        if not 0 <= s < tower.n - j:
-            raise ValueError(f"level {lvl} out of range {j}..{tower.n - 1}")
-        for b in range(blocks):
-            row = [0] * dim
-            row[s * blocks + b] = 1
-            vecs.append(row)
-    return Subspace.span(tower.p, dim, vecs)
-
-
-def choose_levels(tower: Tower, j: int, u: Subspace) -> Optional[LevelChoice]:
-    """levels_from_socle of u's socle coordinates; u must be a direct summand."""
-    return levels_from_socle(tower, j, socle_coordinates(tower, j, u))
 
 
 def levels_from_socle(tower: Tower, j: int, soc: Subspace) -> Optional[LevelChoice]:

@@ -4,7 +4,7 @@ import wreath_sylow as ws
 from wreath_sylow.oracle import (
     CapExceeded,
     GroupSet,
-    all_abelian_subgroups_of_order,
+    all_abelian_subgroups,
     all_normal_subgroups,
     bfs_closure,
     bfs_order,
@@ -87,12 +87,10 @@ def test_center_of_3_3_via_base_fixed_space():
     # base layer itself, so the center lives inside it as the fixed line
     from wreath_sylow.linalg import fixed_subspace, perm_action_matrix
     from wreath_sylow.partition import vector_to_element
-    from wreath_sylow.tower import block_map
 
     tw = ws.tower(3, 3)
-    mats = [
-        perm_action_matrix(block_map(tw, 2, g), 3) for g in ws.shift_gens(tw)[:2]
-    ]
+    # the prefix group acts on the 2-blocks as the height-2 tower
+    mats = [perm_action_matrix(g.images, 3) for g in ws.shift_gens(ws.tower(3, 2))]
     fix = fixed_subspace(3, 9, mats)
     assert fix.rank == 1
     z = vector_to_element(tw, 2, fix.rows[0])
@@ -249,6 +247,23 @@ def test_commutator_chain_of_rotation_subgroup():
         assert rotation_series_length(tw) == expect
 
 
+def _commutator_subgroup_by_products(group, sub):
+    # [G, B] straight from Perm products, as a plain closure of the commutators
+    comms = {g * b * g.inverse() * b.inverse() for g in group.elements for b in sub.elements}
+    return bfs_closure(sorted(comms), identity=group.identity)
+
+
+def test_indexed_commutators_match_perm_products():
+    for p, n in [(2, 2), (3, 2), (2, 3)]:
+        tw = ws.tower(p, n)
+        group = bfs_closure(ws.shift_gens(tw))
+        assert derived_subgroup(group) == _commutator_subgroup_by_products(group, group)
+        tail = bfs_closure([x for x in group.sorted_elements() if ws.in_tail(tw, 1, x)])
+        chain = commutator_chain(group, tail)
+        for a, b in zip(chain, chain[1:]):
+            assert b == _commutator_subgroup_by_products(group, a)
+
+
 def test_centralizer_scans():
     # degree 4: the base layer of the height-2 tower centralizes only itself
     t22 = ws.tower(2, 2)
@@ -269,5 +284,5 @@ def test_max_abelian_stats_small():
 
 def test_all_abelian_subgroups_of_order():
     group = bfs_closure(ws.shift_gens(ws.tower(2, 2)))
-    found = all_abelian_subgroups_of_order(group, 4)
+    found = [sub for sub in all_abelian_subgroups(group) if sub.order == 4]
     assert len(found) == 3

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from wreath_sylow.perm import (
     Perm,
-    all_perms,
     commutator,
     conjugate,
     format_cycles,
@@ -104,12 +103,6 @@ def test_parse_rejects_malformed():
         parse_cycles("(0 9)", 4)
     with pytest.raises(ValueError):
         parse_cycles("0 1 2", 4)
-
-
-def test_all_perms_degree3():
-    elems = list(all_perms(3))
-    assert len(elems) == 6
-    assert len(set(elems)) == 6
 
 
 @given(same_degree_perms(3))

@@ -2,29 +2,25 @@ import itertools
 import random
 from collections import Counter
 
-import pytest
-
 import wreath_sylow as ws
 from wreath_sylow.linalg import (
     Subspace,
     augmentation_subspace,
     fixed_subspace,
     perm_action_matrix,
+    permute,
     spin,
 )
 from wreath_sylow.perm import conjugate
-from wreath_sylow.tower import TailVector, block_map, random_element, tail_coordinate_perms
+from wreath_sylow.tower import TailVector, random_element, tail_coordinate_perms
 from wreath_sylow.uniserial import (
     STYLE_CO_SHIFT,
     STYLE_PREFIX,
     LevelChoice,
-    choose_levels,
     generates_uniserial,
-    is_direct_summand,
     level_sums,
-    socle_coordinates,
-    summand_ranks,
-    summand_subspace,
+    levels_from_socle,
+    module_invariants,
 )
 
 T33 = ws.tower(3, 3)
@@ -41,6 +37,15 @@ def closure_image(tw, j, v):
     return spin(tw.p, v.dim, [v.coords], tail_coordinate_perms(tw, j))
 
 
+def is_summand(tw, j, u):
+    mod_aug, soc = module_invariants(tw, j, u)
+    return mod_aug == soc.rank
+
+
+def choose(tw, j, u):
+    return levels_from_socle(tw, j, module_invariants(tw, j, u)[1])
+
+
 def example_11_1_vector():
     # summands (1,0,...,0) and (0,0,0,-1,1,0,0,0,0) in the level-2 tail at height 4
     coords = [0] * 18
@@ -54,11 +59,8 @@ def test_level_sums_kills_augmentation():
     v = gamma_shift2_vector()
     assert level_sums(v) == (0, 1)
     # differences of block-permuted vectors always sum to zero per level
-    g = ws.shift_gen(T33, 0)
-    from wreath_sylow.tower import tail_action
-
-    moved = tail_action(T33, 1, g, v)
-    diff = TailVector(3, 3, 1, tuple((a - b) % 3 for a, b in zip(moved.coords, v.coords)))
+    moved = permute(v.coords, tail_coordinate_perms(T33, 1)[0])
+    diff = TailVector(3, 3, 1, tuple((a - b) % 3 for a, b in zip(moved, v.coords)))
     assert level_sums(diff) == (0, 0)
 
 
@@ -69,36 +71,30 @@ def test_level_sums_of_diagonal_vanish_above_level_zero():
 
 def test_socle_coordinates_full_module():
     full = Subspace.full(3, 6)
-    assert socle_coordinates(T33, 1, full) == Subspace.full(3, 2)
+    assert module_invariants(T33, 1, full) == (2, Subspace.full(3, 2))
 
 
 def test_socle_coordinates_zero():
-    assert socle_coordinates(T33, 1, Subspace.zero(3, 6)).rank == 0
+    assert module_invariants(T33, 1, Subspace.zero(3, 6))[1].rank == 0
 
 
 def test_socle_coordinates_gamma_closure():
     # the single fixed line of the spun module is the level-2 diagonal
     nbar = closure_image(T33, 1, gamma_shift2_vector())
     assert nbar.rank == 3
-    soc = socle_coordinates(T33, 1, nbar)
+    soc = module_invariants(T33, 1, nbar)[1]
     assert soc == Subspace.span(3, 2, [(0, 1)])
 
 
-def test_socle_requires_invariance():
-    not_invariant = Subspace.span(3, 6, [(1, 0, 0, 0, 0, 0)])
-    with pytest.raises(ValueError, match="invariant"):
-        socle_coordinates(T33, 1, not_invariant)
-
-
 def test_is_direct_summand_full_and_gamma():
-    assert is_direct_summand(T33, 1, Subspace.full(3, 6))
-    assert is_direct_summand(T33, 1, closure_image(T33, 1, gamma_shift2_vector()))
+    assert is_summand(T33, 1, Subspace.full(3, 6))
+    assert is_summand(T33, 1, closure_image(T33, 1, gamma_shift2_vector()))
 
 
 def test_is_direct_summand_rejects_11_6_image():
     v = example_11_1_vector()
     nbar = closure_image(T34, 2, v)
-    assert not is_direct_summand(T34, 2, nbar)
+    assert not is_summand(T34, 2, nbar)
 
 
 def test_generates_uniserial_gamma_case():
@@ -134,19 +130,19 @@ def test_generates_uniserial_spin_has_full_length():
 
 
 def test_choose_levels_full_module():
-    choice = choose_levels(T33, 1, Subspace.full(3, 6))
+    choice = choose(T33, 1, Subspace.full(3, 6))
     assert choice.style == STYLE_CO_SHIFT and choice.levels == ()
 
 
 def test_choose_levels_shift0_closure():
     nbar = Subspace.span(3, 3, [(1, 0, 0)])
-    choice = choose_levels(T33, 0, nbar)
+    choice = choose(T33, 0, nbar)
     assert choice.style == STYLE_CO_SHIFT and choice.levels == (1, 2)
 
 
 def test_choose_levels_gamma_case_takes_prefix_style():
     nbar = closure_image(T33, 1, gamma_shift2_vector())
-    choice = choose_levels(T33, 1, nbar)
+    choice = choose(T33, 1, nbar)
     assert choice.style == STYLE_PREFIX and choice.levels == (1,)
 
 
@@ -156,8 +152,8 @@ def test_choose_levels_socle_gap():
     gamma = s1 * conjugate(s1, s0) * conjugate(s1, s0 * s0)
     v = ws.tail_image(T34, 1, gamma * s2)
     nbar = closure_image(T34, 1, v)
-    assert is_direct_summand(T34, 1, nbar)
-    assert choose_levels(T34, 1, nbar) is None
+    assert is_summand(T34, 1, nbar)
+    assert choose(T34, 1, nbar) is None
 
 
 def test_choose_levels_diagonal_pair():
@@ -165,7 +161,7 @@ def test_choose_levels_diagonal_pair():
     nbar_plus = spin(
         3, 6, [(1, 0, 0, 1, 0, 0)], tail_coordinate_perms(T33, 1)
     )
-    choice = choose_levels(T33, 1, nbar_plus)
+    choice = choose(T33, 1, nbar_plus)
     assert choice.style == STYLE_CO_SHIFT and choice.levels == (2,)
 
 
@@ -173,7 +169,7 @@ def test_choose_levels_takes_lexicographically_smallest():
     # at depth 0 every subspace is invariant; here {1, 3} and {2, 3} both
     # complement but the smaller set wins
     u = Subspace.span(3, 4, [(1, 0, 0, 0), (0, 1, 1, 0)])
-    choice = choose_levels(T34, 0, u)
+    choice = choose(T34, 0, u)
     assert choice.style == STYLE_CO_SHIFT and choice.levels == (1, 3)
 
 
@@ -188,13 +184,13 @@ def test_summand_subspace_complements_choice():
                 for _ in range(rng.randrange(1, 3))
             ]
             u = spin(tw.p, dim, seeds, perms)
-            if not is_direct_summand(tw, j, u):
+            if not is_summand(tw, j, u):
                 continue
-            choice = choose_levels(tw, j, u)
+            choice = choose(tw, j, u)
             if choice is None:
                 continue
             # the chosen unit coordinates complement the socle coordinates
-            soc = socle_coordinates(tw, j, u)
+            soc = module_invariants(tw, j, u)[1]
             m = tw.n - j
             units = Subspace.span(
                 tw.p, m,
@@ -204,7 +200,13 @@ def test_summand_subspace_complements_choice():
             assert units.sum_with(soc).rank == m
             if choice.style != STYLE_CO_SHIFT:
                 continue
-            mz = summand_subspace(tw, j, choice.levels)
+            # the full summands at the chosen levels complement u
+            blocks = tw.p**j
+            mz = Subspace.span(tw.p, dim, [
+                [1 if k == (lvl - j) * blocks + b else 0 for k in range(dim)]
+                for lvl in choice.levels
+                for b in range(blocks)
+            ])
             assert mz.intersect(u).rank == 0
             assert mz.sum_with(u).rank == dim
 
@@ -221,24 +223,18 @@ def _random_tail(tw, j, rng):
     return Perm(images)
 
 
-def test_summand_subspace_rejects_bad_levels():
-    with pytest.raises(ValueError):
-        summand_subspace(T33, 1, (0,))
-    with pytest.raises(ValueError):
-        summand_subspace(T33, 1, (3,))
-
-
 def _dense_tail_matrices(tw, j):
     """The 0/1 matrices of the first j shift generators on tail coordinates.
 
     Reference copy of the dense construction the engine used before it
     acted by coordinate permutations: row k is the image of basis vector k.
+    The prefix group acts on the j-blocks as the height-j tower.
     """
     blocks = tw.p**j
     dim = (tw.n - j) * blocks
     mats = []
     for i in range(j):
-        bm = block_map(tw, j, ws.shift_gen(tw, i))
+        bm = ws.shift_gen(ws.tower(tw.p, j), i).images
         rows = []
         for k in range(dim):
             s, b = divmod(k, blocks)
@@ -250,7 +246,7 @@ def _dense_tail_matrices(tw, j):
 
 
 def _reference_levels(tw, j, soc):
-    """choose_levels by search: the first complementing Z in lexicographic order."""
+    """levels_from_socle by search: the first complementing Z in lexicographic order."""
     m = tw.n - j
 
     def units(ts):
@@ -288,10 +284,11 @@ def test_closed_forms_match_generic_reference():
                 u = spin(p, dim, seeds, perms)
                 fixed_part = u.intersect(fix)
                 mod_aug = u.sum_with(aug).rank - aug.rank
-                assert summand_ranks(tw, j, u) == (mod_aug, fixed_part.rank)
+                closed_mod_aug, closed_soc = module_invariants(tw, j, u)
+                assert (closed_mod_aug, closed_soc.rank) == (mod_aug, fixed_part.rank)
                 soc = Subspace.span(p, m, [row[::blocks] for row in fixed_part.rows])
-                assert socle_coordinates(tw, j, u) == soc
-                choice = choose_levels(tw, j, u)
+                assert closed_soc == soc
+                choice = levels_from_socle(tw, j, closed_soc)
                 assert choice == _reference_levels(tw, j, soc)
                 if mod_aug != fixed_part.rank:
                     kinds[ws.REASON_NOT_SUMMAND] += 1
