@@ -199,6 +199,8 @@ def _crosscheck_random(tw, seed: int, trials: int) -> dict:
 def cmd_oracle(args) -> int:
     tw = _tower_from(args)
     if args.oracle_cmd == "crosscheck":
+        if args.trials < 1:
+            raise ValueError(f"--trials must be a positive integer, got {args.trials}")
         if tw.p ** tw.order_exponent() <= _search_cap():
             body = _crosscheck_small(tw)
             body["mode"] = "exhaustive"

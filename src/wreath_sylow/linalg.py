@@ -170,9 +170,6 @@ class Subspace:
         ech = other._view()
         return all(ech.contains(r) for r in self.rows)
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "dim": self.dim, "basis": [list(r) for r in self.rows]}
-
 
 def identity_matrix(dim: int) -> Matrix:
     return tuple(tuple(1 if k == i else 0 for k in range(dim)) for i in range(dim))

@@ -3,10 +3,12 @@
 Everything here works on plain element objects that support ``*``,
 ``.inverse()``, hashing and ordering (permutations and the gallery group
 elements both do), and trades cleverness for certainty: breadth-first
-element enumeration, exhaustive normal-subgroup and complement searches
-with canonical-set deduplication, and scans of full symmetric groups for
-centralizers.  Caps guard against accidentally enumerating something huge;
-override them explicitly when a test really wants a bigger sweep.
+element enumeration, exhaustive normal-subgroup and abelian-subgroup
+searches with canonical-set deduplication, a complement search that lifts
+the group's generators over the cosets of a normal subgroup (it refuses a
+non-normal one), and scans of full symmetric groups for centralizers.
+Caps guard against accidentally enumerating something huge; override them
+explicitly when a test really wants a bigger sweep.
 
 Two pieces carry all of it:
 
@@ -270,67 +272,59 @@ def all_normal_subgroups(group: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSe
     return ix.sorted_subgroups(found.values())
 
 
-def exhaustive_complements(
-    group: GroupSet,
-    normal: GroupSet,
-    cap: int = SEARCH_CAP,
-    find_all: bool = True,
-) -> list[GroupSet]:
-    """All subgroups C with C meet N trivial and |C| * |N| = |G|.
+def _complements(group: GroupSet, normal: GroupSet, cap: int):
+    """Yield each complement of the normal subgroup once, as (members, lifts) index numbers.
 
-    Backtracking over generator extensions with canonical-set memoization;
-    with find_all=False, stops at the first complement.
+    A complement C maps isomorphically onto G/N, so it holds exactly one
+    element of each coset N x, and those elements generate it.  The search
+    lifts group.gens one at a time over their cosets (read off one index
+    column each), keeping a lift while the closure stays within |G/N| and
+    meets N only in e.  Two lifts from one coset differ by a non-identity
+    element of N, so only C's own lift survives and each complement is
+    reached on exactly one path.  The search tree has up to |N| branches per
+    generator, so the cost grows with len(group.gens).
+
+    Refuses an N that is not normal, or gens that do not generate the group
+    (a normal closure's need not): the lifts would miss complements.
     """
     _check_size(group, cap)
     if group.order % normal.order:
         raise ValueError("normal subgroup order does not divide the group order")
-    target = group.order // normal.order
-    e = group.identity
-    if target == 1:
-        return [GroupSet(frozenset([e]), (), e)]
-    if normal.order == 1:
-        return [group]
     ix = group._index
-    n_mask = ix.mask(ix.pos[x] for x in normal.elements)
-    orders = [element_order(x, e) for x in ix.elems]
-    seen: set[int] = set()
-    results: list[tuple] = []
+    gens = [ix.pos[g] for g in group.gens]
+    if len(ix.closure([ix.e], gens, group.order)) < group.order:
+        raise ValueError("the group's gens do not generate it")
+    if not is_normal_under(normal, group.gens):
+        raise ValueError("the subgroup is not normal in the group")
+    target = group.order // normal.order
+    in_normal = sorted(ix.pos[x] for x in normal.elements)
+    n_mask = ix.mask(in_normal)
 
-    def extend(current: set, mask: int, gens: tuple):
-        blocked = mask | n_mask
-        for g in range(len(ix.elems)):
-            if blocked >> g & 1 or target % orders[g]:
-                continue
+    def lift(current: set, chosen: tuple):
+        if len(current) == target:
+            yield current, chosen
+            return
+        for y in map(ix.col(gens[len(chosen)]).__getitem__, in_normal):
             try:
-                grown = ix.closure(current, gens + (g,), target)
+                grown = ix.closure(current, chosen + (y,), target)
             except CapExceeded:
                 continue
-            grown_mask = ix.mask(grown)
-            if target % len(grown) or grown_mask in seen:
-                continue
-            seen.add(grown_mask)
-            if (grown_mask & n_mask).bit_count() > 1:
-                continue
-            if len(grown) == target:
-                results.append((grown, gens + (g,)))
-                if not find_all:
-                    raise _FoundOne
-            else:
-                extend(grown, grown_mask, gens + (g,))
+            if (ix.mask(grown) & n_mask).bit_count() == 1:
+                yield from lift(grown, chosen + (y,))
 
-    try:
-        extend({ix.e}, 1 << ix.e, ())
-    except _FoundOne:
-        pass
-    return ix.sorted_subgroups(results)
+    yield from lift({ix.e}, ())
 
 
-class _FoundOne(Exception):
-    pass
+def exhaustive_complements(group: GroupSet, normal: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSet]:
+    """All subgroups C with C meet N trivial and |C| * |N| = |G|, for a normal N.
+
+    Each complement's gens are its lifts of group.gens (see ``_complements``).
+    """
+    return group._index.sorted_subgroups(_complements(group, normal, cap))
 
 
 def has_complement(group: GroupSet, normal: GroupSet, cap: int = SEARCH_CAP) -> bool:
-    return bool(exhaustive_complements(group, normal, cap=cap, find_all=False))
+    return next(_complements(group, normal, cap), None) is not None
 
 
 def centralizer_in_sym(target_gens: Sequence[Perm], degree: int, cap_degree: int = 9) -> GroupSet:
@@ -413,20 +407,3 @@ def commutator_chain(group: GroupSet, start: GroupSet, cap: int = SEARCH_CAP) ->
         chain.append(nxt)
         cur = nxt
     return chain
-
-
-def rotation_series_length(tw, cap: int = BFS_CAP) -> int:
-    """Steps the rotation subgroup takes to reach the identity under repeated
-    commutation with the whole tower (p = 2); each step has index 2.
-
-    Works on the fully enumerated tower, so heights above 3 need a cap raise.
-    """
-    from .tower import rotation_subgroup_gens, shift_gens
-
-    group = bfs_closure(shift_gens(tw), cap=cap)
-    rot = bfs_closure(rotation_subgroup_gens(tw), cap=cap)
-    chain = commutator_chain(group, rot, cap=cap)
-    for a, b in zip(chain, chain[1:]):
-        if a.order != 2 * b.order:
-            raise RuntimeError("rotation series step is not index 2")
-    return len(chain) - 1

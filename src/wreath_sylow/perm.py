@@ -109,16 +109,6 @@ class Perm:
     def __repr__(self) -> str:
         return f"Perm({format_cycles(self)!r}, degree={self.degree})"
 
-    def to_json(self) -> dict:
-        return {"degree": self.degree, "images": list(self.images)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Perm":
-        perm = cls(obj["images"])
-        if perm.degree != obj["degree"]:
-            raise ValueError("degree field disagrees with images length")
-        return perm
-
 
 def conjugate(x: Perm, g: Perm) -> Perm:
     """g * x * g**-1, i.e. x with its points relabelled through g."""

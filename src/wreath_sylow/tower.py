@@ -128,15 +128,6 @@ class Tower:
             m = self.n
         return (self.p**m - 1) // (self.p - 1)
 
-    def digits(self, a: int) -> tuple[int, ...]:
-        return tuple(a // self.p ** (self.n - 1 - i) % self.p for i in range(self.n))
-
-    def point(self, digits: Sequence[int]) -> int:
-        a = 0
-        for d in digits:
-            a = a * self.p + d % self.p
-        return a
-
 
 def shift_gen(tower: Tower, i: int) -> Perm:
     """Add 1 to digit i on the points whose digits 0..i-1 all vanish."""

@@ -179,6 +179,17 @@ def test_cli_oracle_crosscheck_random_seeded(capsys):
     assert report["all_ok"] is True
 
 
+def test_cli_oracle_crosscheck_rejects_trials_below_one(capsys):
+    # a random crosscheck of no trials would report all_ok while checking nothing
+    for bad in ("0", "-2"):
+        capsys.readouterr()
+        code = main(["oracle", "crosscheck", "--p", "3", "--n", "3", "--trials", bad, "--format", "json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials" in captured.err
+
+
 def test_cli_oracle_abelian_max(capsys):
     code, out = run_cli(
         capsys, "oracle", "abelian-max", "--p", "2", "--n", "2", "--format", "json"

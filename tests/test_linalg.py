@@ -172,8 +172,3 @@ def test_doubling_preserves_uniseriality():
         + [(0,) * 4 + row for row in chain_small[1].rows]
     )
     assert chain_big[2] == doubled
-
-
-def test_subspace_json():
-    u = Subspace.span(3, 3, [(1, 2, 0)])
-    assert u.to_json() == {"p": 3, "dim": 3, "basis": [[1, 2, 0]]}

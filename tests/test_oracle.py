@@ -12,7 +12,6 @@ from wreath_sylow.oracle import (
     centralizer_in_sym,
     commutator_chain,
     derived_subgroup,
-    rotation_series_length,
     derived_subgroup_from_gens,
     element_order,
     exhaustive_complements,
@@ -21,6 +20,8 @@ from wreath_sylow.oracle import (
     max_abelian_stats,
     normal_closure,
 )
+from reference import complements_by_extension
+from wreath_sylow.gallery import Mod9Elem, QCUnit
 from wreath_sylow.perm import Perm, parse_cycles
 from wreath_sylow.tower import rotation_subgroup_gens
 
@@ -233,6 +234,48 @@ def test_exhaustive_complements_of_base_layer():
     assert has_complement(group, base)
 
 
+def _gallery_pairs():
+    # the (group, normal) pairs of the two gallery reports, from their element classes
+    one = QCUnit(0, 0, 0)
+    i, j, x = QCUnit(0, 1, 0), QCUnit(0, 2, 0), QCUnit(0, 0, 1)
+    yield bfs_closure([i, j, x], identity=one), bfs_closure([i, j], identity=one)
+    e, t = Mod9Elem(0, 0, 0), Mod9Elem(0, 0, 1)
+    group = bfs_closure([Mod9Elem(1, 0, 0), Mod9Elem(0, 1, 0), t], cap=300, identity=e)
+    plane = [Mod9Elem(v1, v2, 0) for v1 in (0, 3, 6) for v2 in range(9)]
+    yield group, bfs_closure(plane + [t], cap=300, identity=e)
+
+
+def test_coset_lift_search_matches_extension_search(enumerated):
+    cases = [(d["group"], sub) for d in enumerated.values() for sub in d["normals"]]
+    cases += _gallery_pairs()
+    assert len(cases) == 44
+    for group, normal in cases:
+        expected = complements_by_extension(group, normal)
+        listed = exhaustive_complements(group, normal)
+        assert [c.elements for c in listed] == [c.elements for c in expected]
+        assert has_complement(group, normal) == bool(expected)
+
+
+def test_complement_search_rejects_non_normal_subgroup():
+    tw = ws.tower(2, 2)
+    group = bfs_closure(ws.shift_gens(tw))
+    sub = bfs_closure([ws.shift_gen(tw, 1)])
+    for search in (exhaustive_complements, has_complement):
+        with pytest.raises(ValueError, match="not normal"):
+            search(group, sub)
+
+
+def test_complement_search_rejects_gens_that_do_not_generate():
+    # a normal closure's gens need not generate it; the lifts would then run out
+    shifts = ws.shift_gens(ws.tower(2, 2))
+    group = normal_closure([shifts[1]], shifts)
+    assert group.order == 4 and len(group.gens) == 1
+    trivial = GroupSet(frozenset([group.identity]), (), group.identity)
+    for search in (exhaustive_complements, has_complement):
+        with pytest.raises(ValueError, match="do not generate"):
+            search(group, trivial)
+
+
 def test_commutator_chain_of_rotation_subgroup():
     # the rotation subgroup descends to the identity in 2^(n-1) index-2 steps
     for n, expect in [(2, 2), (3, 4)]:
@@ -244,7 +287,6 @@ def test_commutator_chain_of_rotation_subgroup():
         assert len(chain) == expect + 1
         for a, b in zip(chain, chain[1:]):
             assert a.order == 2 * b.order
-        assert rotation_series_length(tw) == expect
 
 
 def _commutator_subgroup_by_products(group, sub):

@@ -144,10 +144,3 @@ def test_pow_matches_iteration(g, k):
     for _ in range(abs(k)):
         expected = expected * step
     assert g**k == expected
-
-
-def test_json_round_trip():
-    g = parse_cycles("(0 1 2)", 9)
-    assert Perm.from_json(g.to_json()) == g
-    with pytest.raises(ValueError):
-        Perm.from_json({"degree": 4, "images": [0, 1, 2]})

@@ -47,13 +47,6 @@ def test_tower_rejects_unit_divisible_by_p():
             ws.Tower(p, 2, r)
 
 
-def test_digits_round_trip():
-    assert T33.digits(15) == (1, 2, 0)
-    assert T33.point((1, 2, 0)) == 15
-    for a in range(27):
-        assert T33.point(T33.digits(a)) == a
-
-
 def test_shift_gens_printed_cycles():
     s0, s1, s2 = ws.shift_gens(T33)
     assert format_cycles(s0) == (
