@@ -4,7 +4,8 @@ Subcommands: gens, decide, partition, oracle (crosscheck | abelian-max |
 centralizer), gallery (q8c4 | mod9), corpus.  Every command takes
 ``--format text|json``; JSON output is deterministic (sorted keys, schema
 field) so identical inputs give byte-identical reports.  Exit codes:
-0 success, 1 a verification or expectation failed, 2 usage error.
+0 success, 1 a verification or expectation failed, 2 usage error.  Only
+p and n pick the tower: its r is the smallest primitive root mod p.
 
 Caps for the brute-force commands come from the environment when set:
 WREATH_SYLOW_BFS_CAP (element enumeration), WREATH_SYLOW_SEARCH_CAP
@@ -14,6 +15,7 @@ WREATH_SYLOW_BFS_CAP (element enumeration), WREATH_SYLOW_SEARCH_CAP
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -58,12 +60,8 @@ def _emit(report: dict, fmt: str, text_lines) -> None:
             print(line)
 
 
-def _tower_from(args) -> "tower":
-    return tower(args.p, args.n, getattr(args, "r", 0) or 0)
-
-
 def cmd_gens(args) -> int:
-    tw = _tower_from(args)
+    tw = tower(args.p, args.n)
     families = {
         "shift": {f"s{i}": format_cycles(g) for i, g in enumerate(shift_gens(tw))},
         "scale": {f"e{i}": format_cycles(g) for i, g in enumerate(scale_gens(tw))},
@@ -86,7 +84,7 @@ def cmd_gens(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    tw = _tower_from(args)
+    tw = tower(args.p, args.n)
     gens = parse_generators(tw, args.gens)
     handle = complements.closure_handle(tw, gens)
     decision = complements.decide(handle)
@@ -113,15 +111,14 @@ def cmd_decide(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    tw = _tower_from(args)
-    indices = tuple(int(tok) for tok in args.indices.split(","))
-    spec = partition.PartitionSpec(tw.p, tw.n, indices)
+    tw = tower(args.p, args.n)
+    spec = partition.PartitionSpec(tw.p, tw.n, args.indices)
     normal = partition.partition_is_normal(spec)
     report = {
         "schema": 1,
         "p": tw.p,
         "n": tw.n,
-        "indices": list(indices),
+        "indices": list(args.indices),
         "depth": spec.depth,
         "normal": normal,
         "has_complement": None,
@@ -197,7 +194,7 @@ def _crosscheck_random(tw, seed: int, trials: int) -> dict:
 
 
 def cmd_oracle(args) -> int:
-    tw = _tower_from(args)
+    tw = tower(args.p, args.n)
     if args.oracle_cmd == "crosscheck":
         if args.trials < 1:
             raise ValueError(f"--trials must be a positive integer, got {args.trials}")
@@ -220,8 +217,11 @@ def cmd_oracle(args) -> int:
         _emit(report, args.format, lines)
         return 0 if report["all_ok"] else 1
     if args.oracle_cmd == "abelian-max":
-        group = oracle.bfs_closure(shift_gens(tw), cap=_bfs_cap())
-        exponent, count = oracle.max_abelian_stats(group, tw.p, cap=_search_cap())
+        bfs_cap, cap, order = _bfs_cap(), _search_cap(), tw.p ** tw.order_exponent()
+        if order > cap:  # refuse before enumerating, as max_abelian_stats would after
+            raise oracle.CapExceeded(f"group order {order} exceeds cap {cap}")
+        group = oracle.bfs_closure(shift_gens(tw), cap=bfs_cap)
+        exponent, count = oracle.max_abelian_stats(group, tw.p, cap=cap)
         report = {
             "schema": 1,
             "p": tw.p,
@@ -238,10 +238,10 @@ def cmd_oracle(args) -> int:
             ],
         )
         return 0
-    # centralizer
-    base_group = oracle.bfs_closure(base_translations(tw), cap=_bfs_cap())
+    # centralizer: the scans refuse a large degree before anything is enumerated
     cz_base = oracle.centralizer_in_sym(base_translations(tw), tw.degree)
     cz_tower = oracle.centralizer_in_sym(shift_gens(tw), tw.degree)
+    base_group = oracle.bfs_closure(base_translations(tw), cap=_bfs_cap())
     tower_set = oracle.bfs_closure(shift_gens(tw), cap=_bfs_cap())
     report = {
         "schema": 1,
@@ -289,18 +289,25 @@ def cmd_corpus(args) -> int:
     return 0 if report["all_ok"] else 1
 
 
+def _indices(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fixed parser, built once per process: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="wreath-sylow",
         description="Sylow towers of symmetric groups: generators, complements, cross-checks",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(sp, with_r=True):
+    def add_common(sp):
         sp.add_argument("--p", type=int, required=True, help="the prime")
         sp.add_argument("--n", type=int, required=True, help="tower height")
-        if with_r:
-            sp.add_argument("--r", type=int, default=0, help="unit scaling the digits (default: smallest primitive root)")
         sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("gens", help="print the generator families")
@@ -318,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("partition", help="closed-form complement criterion for a partition subgroup")
     add_common(sp)
-    sp.add_argument("--indices", required=True, help="comma-separated chain indices i0,i1,...")
+    sp.add_argument("--indices", type=_indices, required=True, help="comma-separated chain indices i0,i1,...")
     sp.set_defaults(func=cmd_partition)
 
     sp = sub.add_parser("oracle", help="brute-force cross-checks")
@@ -344,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, oracle.CapExceeded) as exc:

@@ -55,6 +55,7 @@ from .tower import (
     shift_gens,
     tail_coordinate_perms,
     tail_image,
+    tower,
 )
 from .uniserial import STYLE_CO_SHIFT, levels_from_socle, module_invariants
 
@@ -262,7 +263,7 @@ def _conjugate_images(
             rows = decompose(Perm._raw(piece), p)
         except NotInTower:
             return None
-        local_images[piece] = portrait_tail_image(Tower(p, tw.n - j, tw.r), 0, rows).coords
+        local_images[piece] = portrait_tail_image(tower(p, tw.n - j), 0, rows).coords
 
     # landings(c)[b] is where prefix_rep(j, b) takes block c: the rep applies
     # shift i to the power of digit i of b, the last digit first

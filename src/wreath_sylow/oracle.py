@@ -39,6 +39,7 @@ from .perm import Perm
 
 BFS_CAP = 2**15
 SEARCH_CAP = 4096
+SCAN_DEGREE_CAP = 9
 
 
 class CapExceeded(RuntimeError):
@@ -197,7 +198,7 @@ def is_normal_under(sub: GroupSet, ambient_gens: Sequence) -> bool:
     )
 
 
-def _commutators_with(group: GroupSet, sub, cap: int) -> GroupSet:
+def _commutators_with(group: GroupSet, sub) -> GroupSet:
     """[G, B]: the subgroup generated by the g b g^-1 b^-1, g in the group, b in sub.
 
     Read off the group's index: sub must lie in the group.  The gens are the
@@ -212,15 +213,15 @@ def _commutators_with(group: GroupSet, sub, cap: int) -> GroupSet:
         back = col(inv[g])
         comms.update(b_inv[back[b_col[g]]] for b_col, b_inv in right)
     gens = sorted(comms)
-    members = ix.closure([ix.e], gens, cap)
+    members = ix.closure([ix.e], gens, group.order)
     return GroupSet(
         frozenset(ix.elems[i] for i in members), tuple(ix.elems[k] for k in gens), group.identity
     )
 
 
-def derived_subgroup(group: GroupSet, cap: int = BFS_CAP) -> GroupSet:
+def derived_subgroup(group: GroupSet) -> GroupSet:
     """Commutator subgroup of a fully enumerated group."""
-    return _commutators_with(group, group.elements, cap)
+    return _commutators_with(group, group.elements)
 
 
 def derived_subgroup_from_gens(gens: Sequence, cap: int = BFS_CAP) -> GroupSet:
@@ -327,14 +328,14 @@ def has_complement(group: GroupSet, normal: GroupSet, cap: int = SEARCH_CAP) -> 
     return next(_complements(group, normal, cap), None) is not None
 
 
-def centralizer_in_sym(target_gens: Sequence[Perm], degree: int, cap_degree: int = 9) -> GroupSet:
+def centralizer_in_sym(target_gens: Sequence[Perm], degree: int) -> GroupSet:
     """Centralizer of the generated subgroup inside the full symmetric group.
 
-    A plain scan of all degree! permutations; capped at degree 9 (which
-    already takes a few seconds).
+    A plain scan of all degree! permutations, refused above SCAN_DEGREE_CAP
+    (degree 9 already takes a few seconds).
     """
-    if degree > cap_degree:
-        raise CapExceeded(f"degree {degree} exceeds scan cap {cap_degree}")
+    if degree > SCAN_DEGREE_CAP:
+        raise CapExceeded(f"degree {degree} exceeds scan cap {SCAN_DEGREE_CAP}")
     gen_imgs = [g.images for g in target_gens]
     rng = range(degree)
     found = []
@@ -392,7 +393,7 @@ def max_abelian_stats(group: GroupSet, p: int, cap: int = SEARCH_CAP) -> tuple[i
     return exponent, orders.count(orders[-1])
 
 
-def commutator_chain(group: GroupSet, start: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSet]:
+def commutator_chain(group: GroupSet, start: GroupSet) -> list[GroupSet]:
     """The chain B, [G, B], [G, [G, B]], ... down to the trivial subgroup.
 
     B must be a subgroup of G.  Commutators are taken over all element
@@ -401,7 +402,7 @@ def commutator_chain(group: GroupSet, start: GroupSet, cap: int = SEARCH_CAP) ->
     chain = [start]
     cur = start
     while cur.order > 1:
-        nxt = _commutators_with(group, cur.elements, cap)
+        nxt = _commutators_with(group, cur.elements)
         if nxt.order >= cur.order:
             raise RuntimeError("commutator chain failed to descend")
         chain.append(nxt)

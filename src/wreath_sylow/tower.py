@@ -34,18 +34,18 @@ one digit at a time (``block_conjugates``), and the chain of each level
 module is spanned by monomials in the block digits (Kaloujnine; see
 ``partition``).
 
-The *scale* generators ``scale_gen(i)`` multiply digit i by a fixed
-primitive root r; they normalize the tower and generate a Hall p'-subgroup
-of its normalizer of order ``(p-1)**n``.  The *co-shift* ``co_shift_gen(i)``
-is the product of the nonidentity ``shift_gen(i-1)``-power conjugates of
-``shift_gen(i)``: it adds 1 to digit i exactly where digits 0..i-2 vanish
-and digit i-1 does not.
+The *scale* generators ``scale_gen(i)`` multiply digit i by ``tower.r``, the
+smallest primitive root mod p (every primitive root gives the same group);
+they normalize the tower and generate a Hall p'-subgroup of its normalizer
+of order ``(p-1)**n``.  The *co-shift* ``co_shift_gen(i)`` is the product of
+the nonidentity ``shift_gen(i-1)``-power conjugates of ``shift_gen(i)``: it
+adds 1 to digit i exactly where digits 0..i-2 vanish and digit i-1 does not.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .linalg import Matrix, perm_action_matrix
@@ -76,47 +76,25 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _unit_order(r: int, p: int) -> int:
-    """Multiplicative order of r mod p; 0 when p divides r."""
-    x, k = r % p, 1
-    if x == 0:
-        return 0
-    while x != 1:
-        x = x * r % p
-        k += 1
-    return k
-
-
 def smallest_primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    for r in range(2, p):
-        if _unit_order(r, p) == p - 1:
-            return r
-    raise ValueError(f"{p} is not prime")
+    """The least r whose powers give every unit mod the prime p: r = 1 only at p = 2."""
+    return next(r for r in range(1, p) if len({pow(r, k, p) for k in range(1, p)}) == p - 1)
 
 
 @dataclass(frozen=True)
 class Tower:
-    """Parameters of the tower: prime p, height n, unit r scaling the digits."""
+    """The tower of prime p and height n; r is derived from p (see scale_gen)."""
 
     p: int
     n: int
-    r: int = 0  # 0 means "use the smallest primitive root mod p"
+    r: int = field(init=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.n < 1:
             raise ValueError(f"n = {self.n} must be >= 1")
-        if self.r == 0:
-            object.__setattr__(self, "r", smallest_primitive_root(self.p))
-        if self.p == 2:
-            if self.r % 2 != 1:
-                raise ValueError("r must be 1 for p = 2")
-            object.__setattr__(self, "r", 1)
-        elif _unit_order(self.r, self.p) != self.p - 1:
-            raise ValueError(f"r = {self.r} does not generate the units mod {self.p}")
+        object.__setattr__(self, "r", smallest_primitive_root(self.p))
 
     @property
     def degree(self) -> int:
@@ -144,7 +122,7 @@ def shift_gen(tower: Tower, i: int) -> Perm:
 
 
 def scale_gen(tower: Tower, i: int) -> Perm:
-    """Multiply digit i by the unit r, fixing every other digit."""
+    """Multiply digit i by tower.r, the smallest primitive root mod p (1 at p = 2)."""
     if not 0 <= i <= tower.n - 1:
         raise ValueError(f"level {i} out of range 0..{tower.n - 1}")
     p, n, r = tower.p, tower.n, tower.r
@@ -456,11 +434,4 @@ def rotation_subgroup_gens(tower: Tower) -> list[Perm]:
     return block_conjugates(tower, tower.n - 2, rot)
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_tower(p: int, n: int, r: int) -> Tower:
-    return Tower(p, n, r)
-
-
-def tower(p: int, n: int, r: int = 0) -> Tower:
-    """Cached Tower constructor."""
-    return _cached_tower(p, n, r)
+tower = functools.cache(Tower)  # the cached constructor: one Tower per (p, n)

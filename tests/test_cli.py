@@ -3,6 +3,7 @@ import json
 import pytest
 
 import wreath_sylow as ws
+from wreath_sylow import cli, oracle
 from wreath_sylow.cli import main
 from wreath_sylow.perm import conjugate, format_cycles
 from wreath_sylow.words import parse_generators, parse_word
@@ -216,6 +217,65 @@ def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decide", "--p", "3"])
     assert exc.value.code == 2
+    # r is derived from p, so there is no --r
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", "--p", "3", "--n", "3", "--r", "2", "--gens", "s0"])
+    assert exc.value.code == 2
+
+
+def test_cli_bad_indices_name_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--p", "3", "--n", "2", "--indices", "1,x"])
+    assert exc.value.code == 2
+    assert "--indices" in capsys.readouterr().err
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """The argument lists of every oracle.bfs_closure call the CLI makes."""
+    calls = []
+    real = oracle.bfs_closure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "bfs_closure", counted)
+    return calls
+
+
+def test_cli_oracle_centralizer_refuses_degree_before_enumerating(capsys, closures):
+    assert main(["oracle", "centralizer", "--p", "3", "--n", "3"]) == 2
+    assert "degree 27 exceeds scan cap 9" in capsys.readouterr().err
+    assert closures == []
+
+
+def test_cli_oracle_abelian_max_refuses_order_before_enumerating(capsys, closures):
+    assert main(["oracle", "abelian-max", "--p", "2", "--n", "4"]) == 2
+    assert "group order 32768 exceeds cap 4096" in capsys.readouterr().err
+    assert main(["oracle", "abelian-max", "--p", "3", "--n", "3"]) == 2
+    assert "group order 1594323 exceeds cap 4096" in capsys.readouterr().err
+    assert closures == []
+
+
+def test_cli_reuses_one_parser(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    runs = [
+        ("oracle", "crosscheck", "--p", "3", "--n", "3", "--seed", "7", "--trials", "3", "--format", "json"),
+        ("decide", "--p", "3", "--n", "3", "--gens", "s1", "--format", "json"),
+        ("partition", "--p", "3", "--n", "3", "--indices", "1,0,0", "--format", "json"),
+        ("oracle", "crosscheck", "--p", "3", "--n", "3", "--format", "json"),
+    ]
+    first = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        first.append(run_cli(capsys, *argv))
+    parser = cli.build_parser()
+    assert [run_cli(capsys, *argv) for argv in runs] == first
+    assert cli.build_parser() is parser
+    # the seed and trials of the first crosscheck do not leak into the last
+    last = json.loads(first[-1][1])
+    assert (last["seed"], last["trials"]) == (0, 25)
 
 
 def test_cli_deep_nesting_is_a_usage_error(capsys):

@@ -76,7 +76,7 @@ def test_mod9_derived_subgroup_is_the_plane():
         [Mod9Elem(1, 0, 0), Mod9Elem(0, 1, 0), Mod9Elem(0, 0, 1)], cap=300, identity=e
     )
     assert group.order == 243
-    derived = derived_subgroup(group, cap=300)
+    derived = derived_subgroup(group)
     plane = {Mod9Elem(v1, v2, 0) for v1 in (0, 3, 6) for v2 in range(9)}
     assert derived.elements == frozenset(plane)
 

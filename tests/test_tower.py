@@ -32,19 +32,27 @@ def test_tower_validation():
         ws.tower(4, 2)
     with pytest.raises(ValueError):
         ws.tower(3, 0)
-    with pytest.raises(ValueError):
-        ws.Tower(5, 2, 4)  # 4 has order 2 in the units mod 5
+    with pytest.raises(TypeError):
+        ws.Tower(5, 2, 4)  # r is derived from p, not passed
     assert ws.tower(3, 1).r == 2
     assert ws.tower(5, 1).r == 2
     assert ws.tower(7, 1).r == 3
     assert ws.tower(2, 3).r == 1
 
 
-def test_tower_rejects_unit_divisible_by_p():
-    # r = 0 mod p has no multiplicative order; this used to loop forever
-    for p, r in [(3, 3), (5, 5), (5, 10), (7, -7)]:
-        with pytest.raises(ValueError, match="does not generate"):
-            ws.Tower(p, 2, r)
+def test_scale_group_is_independent_of_the_primitive_root():
+    # every primitive root scales the digits into the same group, so the
+    # tower fixes r as the smallest one
+    for p in (3, 5, 7):
+        tw = ws.tower(p, 2)
+        expected = oracle.bfs_closure(ws.scale_gens(tw)).elements
+        roots = [g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1]
+        for g in roots:
+            maps = []
+            for step in (p, 1):  # the weights of digits 0 and 1
+                digits = [a // step % p for a in range(p**2)]
+                maps.append(Perm([a + (g * d % p - d) * step for a, d in enumerate(digits)]))
+            assert oracle.bfs_closure(maps).elements == expected, (p, g)
 
 
 def test_shift_gens_printed_cycles():
