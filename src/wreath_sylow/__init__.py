@@ -16,18 +16,15 @@ from .complements import (
     closure_handle,
     decide,
     decision_json,
-    member,
     scale_orbit,
     tail_commutator_exponent,
     verify_complement,
 )
-from .linalg import Subspace, augmentation_subspace, fixed_subspace, lower_central_series, spin
+from .linalg import Subspace, lower_central_series, spin
 from .partition import PartitionSpec, partition_generators, partition_has_complement, partition_is_normal
 from .perm import Perm, commutator, conjugate, format_cycles, parse_cycles
 from .tower import (
-    TailVector,
     Tower,
-    abelianization,
     base_translations,
     co_shift_gen,
     co_shift_gens,

@@ -19,20 +19,23 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 
 from . import complements, gallery, oracle, partition
 from .corpus import run_corpus
 from .perm import format_cycles
 from .tower import (
+    NotInTower,
     base_translations,
     co_shift_gens,
+    decompose,
     random_element,
     scale_gens,
     shift_gens,
     tower,
 )
-from .words import parse_generators
+from .words import generator_items, parse_generators
 
 
 def _env_cap(name: str, default: int) -> int:
@@ -83,10 +86,27 @@ def cmd_gens(args) -> int:
     return 0
 
 
+def _off_tower(tw, text: str, gens, exc: NotInTower) -> str:
+    """The error for a --gens item that is not a tower element, naming the first such item."""
+    for item, g in zip(generator_items(text), gens):
+        try:
+            decompose(g, tw.p)
+        except NotInTower:
+            break
+    msg = f"--gens item {item.strip()!r} is not in the tower: {exc}"
+    scale = re.search(r"e\d+", item)
+    if scale:
+        msg += f"; the scaling map {scale.group()} normalizes the tower but is not in it"
+    return msg
+
+
 def cmd_decide(args) -> int:
     tw = tower(args.p, args.n)
     gens = parse_generators(tw, args.gens)
-    handle = complements.closure_handle(tw, gens)
+    try:
+        handle = complements.closure_handle(tw, gens)
+    except NotInTower as exc:
+        raise ValueError(_off_tower(tw, args.gens, gens, exc)) from None
     decision = complements.decide(handle)
     report = complements.decision_json(handle, decision)
 

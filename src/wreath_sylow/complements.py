@@ -54,7 +54,6 @@ from .tower import (
     shift_gen,
     shift_gens,
     tail_coordinate_perms,
-    tail_image,
     tower,
 )
 from .uniserial import STYLE_CO_SHIFT, levels_from_socle, module_invariants
@@ -89,20 +88,11 @@ def closure_handle(tower: Tower, gens: Iterable[Perm]) -> NormalClosure:
     portraits = [decompose(g, tower.p) for g in gens]
     j = portrait_depth(tower, portraits)
     dim = (tower.n - j) * tower.p**j
-    seeds = [portrait_tail_image(tower, j, rows).coords for rows in portraits]
+    seeds = [portrait_tail_image(tower, j, rows) for rows in portraits]
     image = spin(tower.p, dim, seeds, tail_coordinate_perms(tower, j))
     return NormalClosure(
         tower, gens, j, image, tail_commutator_exponent(tower, j) + image.rank
     )
-
-
-def member(handle: NormalClosure, x: Perm) -> bool:
-    """Membership in the normal closure."""
-    try:
-        v = tail_image(handle.tower, handle.j, x)
-    except NotInTail:
-        return False
-    return handle.image.contains(v.coords)
 
 
 @dataclass(frozen=True)
@@ -263,7 +253,7 @@ def _conjugate_images(
             rows = decompose(Perm._raw(piece), p)
         except NotInTower:
             return None
-        local_images[piece] = portrait_tail_image(tower(p, tw.n - j), 0, rows).coords
+        local_images[piece] = portrait_tail_image(tower(p, tw.n - j), 0, rows)
 
     # landings(c)[b] is where prefix_rep(j, b) takes block c: the rep applies
     # shift i to the power of digit i of b, the last digit first

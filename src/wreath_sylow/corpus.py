@@ -22,7 +22,7 @@ from .complements import (
     verify_complement,
 )
 from .perm import format_cycles
-from .tower import TailVector, tower
+from .tower import tower
 from .uniserial import STYLE_CO_SHIFT, STYLE_PREFIX, generates_uniserial
 from .words import parse_word
 
@@ -120,10 +120,9 @@ def run_uniserial_case() -> dict:
     coords[0] = 1
     coords[9 + 3] = -1 % 3
     coords[9 + 4] = 1
-    v = TailVector(3, 4, 2, tuple(coords))
-    first_outside_aug = sum(v.summand(0)) % 3 != 0
-    second_inside_aug = sum(v.summand(1)) % 3 == 0
-    uniserial = generates_uniserial(tw, v)
+    first_outside_aug = sum(coords[:9]) % 3 != 0
+    second_inside_aug = sum(coords[9:]) % 3 == 0
+    uniserial = generates_uniserial(tw, 2, tuple(coords))
     return {
         "name": "two-summand vector: outside-augmentation alone is not enough",
         "ok": not uniserial and first_outside_aug and second_inside_aug,

@@ -14,10 +14,8 @@ Two pieces carry all of it:
 
 - one closure kernel, ``_walk``: everything reachable from a start set by
   a list of moves, breadth first, stopping at a cap.  The moves are right
-  multiplication (closures), conjugation (normal closures and conjugacy
-  orbits), lookups in a multiplication column (subgroups of an indexed
-  group) or ``bytes.translate`` on packed images (counting walks, which
-  multiply on the left; that generates the same group).
+  multiplication (closures), conjugation (conjugacy orbits) or lookups in
+  a multiplication column (subgroups of an indexed group).
 - one indexed form of an enumerated ``GroupSet`` (``GroupSet._index``,
   built once per group): its elements numbered in sorted order, with the
   right-multiplication column of each element filled on first use and
@@ -32,7 +30,6 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import methodcaller
 from typing import Sequence
 
 from .perm import Perm
@@ -141,55 +138,12 @@ def bfs_closure(gens: Sequence, cap: int = BFS_CAP, identity=None) -> GroupSet:
     return GroupSet(frozenset(seen), tuple(gens), e)
 
 
-def _translation_tables(gens: Sequence[Perm]) -> list[bytes]:
-    return [bytes(g.images) + bytes(range(g.degree, 256)) for g in gens]
-
-
-def bfs_order(gens: Sequence[Perm], cap: int = 2**21) -> int:
-    """Order of the closure, counting only; packs images to keep memory flat.
-
-    For permutation groups too big to hold as GroupSets (the full tower at
-    p=3, n=3 has 3^13 elements) but small enough to count.
-    """
-    if not gens:
-        return 1
-    moves = [methodcaller("translate", t) for t in _translation_tables(gens)]
-    return len(_walk([bytes(range(gens[0].degree))], moves, cap))
-
-
 def element_order(g, identity) -> int:
     k, x = 1, g
     while x != identity:
         x = x * g
         k += 1
     return k
-
-
-def normal_closure(gens: Sequence, ambient_gens: Sequence, cap: int = BFS_CAP, identity=None) -> GroupSet:
-    """Smallest subgroup containing gens and closed under ambient conjugation.
-
-    Single walk whose moves are right multiplication by the given generators
-    and conjugation by the ambient generators; both stay inside the normal
-    closure, and every product of conjugates is reachable by inducting on
-    its length.
-    """
-    e = _identity_of(tuple(gens) + tuple(ambient_gens), identity)
-    moves = [lambda x, g=g: x * g for g in gens]
-    moves += [lambda x, a=a, ai=a.inverse(): a * x * ai for a in ambient_gens]
-    seen = _walk([e], moves, cap, "normal closure")
-    return GroupSet(frozenset(seen), tuple(gens), e)
-
-
-def normal_closure_order(gens: Sequence[Perm], ambient_gens: Sequence[Perm], cap: int = 2**21) -> int:
-    """Order of the normal closure, counting only (packed images, flat memory)."""
-    if not gens:
-        return 1
-    moves = [methodcaller("translate", t) for t in _translation_tables(gens)]
-    moves += [
-        lambda x, t=t, ai=a.inverse().images: bytes(map(x.translate(t).__getitem__, ai))
-        for a, t in zip(ambient_gens, _translation_tables(ambient_gens))
-    ]
-    return len(_walk([bytes(range(gens[0].degree))], moves, cap, "normal closure"))
 
 
 def is_normal_under(sub: GroupSet, ambient_gens: Sequence) -> bool:
@@ -222,24 +176,6 @@ def _commutators_with(group: GroupSet, sub) -> GroupSet:
 def derived_subgroup(group: GroupSet) -> GroupSet:
     """Commutator subgroup of a fully enumerated group."""
     return _commutators_with(group, group.elements)
-
-
-def derived_subgroup_from_gens(gens: Sequence, cap: int = BFS_CAP) -> GroupSet:
-    """Commutator subgroup of <gens>: the normal closure of the generator commutators."""
-    comms = []
-    for a in gens:
-        for b in gens:
-            comms.append(a * b * a.inverse() * b.inverse())
-    return normal_closure(comms, gens, cap=cap, identity=_identity_of(gens, None))
-
-
-def center(group: GroupSet) -> GroupSet:
-    elems = [
-        x
-        for x in group.sorted_elements()
-        if all(x * g == g * x for g in group.gens)
-    ]
-    return GroupSet(frozenset(elems), tuple(elems), group.identity)
 
 
 def all_normal_subgroups(group: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSet]:

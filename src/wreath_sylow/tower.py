@@ -24,10 +24,12 @@ The structural layers computed here are used by the complement engine:
   below is read off it, one decomposition per element;
 - the *depth* of elements: the first digit with a nonzero row, since an
   element fixes the first j digits exactly when its rows 0..j-1 vanish;
-- images in the abelianized tail: ``tail_image(tower, j, x)`` records, for
-  each j-prefix block, the abelianization of the local action, giving the
-  vector on which the complement criteria are checked.  Coordinate (s, b)
-  is the sum mod p of the slice of row j+s that lies in block b.
+- images in the abelianized tail: ``tail_image(tower, j, x)`` is the
+  coordinate tuple on which the complement criteria are checked.  It is
+  level-major: entry s * p**j + b, the abelianization of the local action
+  at digit j+s on j-prefix block b, is the sum mod p of the slice of row
+  j+s in block b, and each level's slice of p**j entries is one summand of
+  the natural block-permutation module.
 
 The digits give the other closed forms too: prefix conjugates are built
 one digit at a time (``block_conjugates``), and the chain of each level
@@ -50,6 +52,11 @@ from typing import Iterable, Optional, Sequence
 
 from .linalg import Matrix, perm_action_matrix
 from .perm import Perm, conjugate
+
+
+# Largest degree p**n a Tower accepts: (2, 14) spins dense 8192-wide rows at
+# depth 13, and a bigger tower would exhaust memory before it is decided.
+DEGREE_CAP = 2**14
 
 
 class NotInTower(ValueError):
@@ -90,10 +97,13 @@ class Tower:
     r: int = field(init=False)
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
         if self.n < 1:
             raise ValueError(f"n = {self.n} must be >= 1")
+        # before the prime test, and with no huge power: 2**15 > DEGREE_CAP
+        if self.p ** min(self.n, DEGREE_CAP.bit_length()) > DEGREE_CAP:
+            raise ValueError(f"degree {self.p}**{self.n} exceeds the degree cap {DEGREE_CAP}")
+        if not is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not prime")
         object.__setattr__(self, "r", smallest_primitive_root(self.p))
 
     @property
@@ -260,57 +270,8 @@ def random_element(tower: Tower, rng) -> Perm:
     return reconstruct(rows[::-1], p)
 
 
-def abelianization(tower: Tower, x: Perm) -> tuple[int, ...]:
-    """Image of x in the elementary abelian quotient of the tower.
-
-    Coordinate i is the total digit-i translation amount: the shift
-    generators map to the standard basis.  Raises NotInTower off the tower.
-    """
-    return tail_image(tower, 0, x).coords
-
-
-@dataclass(frozen=True)
-class TailVector:
-    """A vector in the abelianized level-j tail subgroup.
-
-    The tail subgroup at level j is the direct product of p**j copies of the
-    height n-j tower, one per j-prefix block; modulo its commutator subgroup
-    it is an F_p-space of dimension (n-j) * p**j.  Coordinates are stored
-    level-major: entry (s * p**j + b) is the digit-(j+s) translation total of
-    the local action on block b.  Each level-s slice is one summand of the
-    natural block-permutation module, and the diagonal vectors (a constant
-    slice in one level) span the fixed subspace under prefix permutations.
-    """
-
-    p: int
-    n: int
-    j: int
-    coords: tuple[int, ...]
-
-    @property
-    def levels(self) -> int:
-        return self.n - self.j
-
-    @property
-    def blocks(self) -> int:
-        return self.p**self.j
-
-    @property
-    def dim(self) -> int:
-        return self.levels * self.blocks
-
-    def summand(self, s: int) -> tuple[int, ...]:
-        """The slice of coordinates at local level s (global digit j+s)."""
-        return self.coords[s * self.blocks : (s + 1) * self.blocks]
-
-    def with_only_summand(self, s: int) -> "TailVector":
-        coords = [0] * self.dim
-        coords[s * self.blocks : (s + 1) * self.blocks] = self.summand(s)
-        return TailVector(self.p, self.n, self.j, tuple(coords))
-
-
-def tail_image(tower: Tower, j: int, x: Perm) -> TailVector:
-    """Image of x in the abelianized level-j tail.
+def tail_image(tower: Tower, j: int, x: Perm) -> tuple[int, ...]:
+    """Coordinates of x in the abelianized level-j tail (level-major, see above).
 
     Requires x to be a tower element fixing all j-prefixes: NotInTail is
     raised first, naming the first block moved, then NotInTower.
@@ -327,17 +288,16 @@ def tail_image(tower: Tower, j: int, x: Perm) -> TailVector:
     return portrait_tail_image(tower, j, decompose(x, p))
 
 
-def portrait_tail_image(tower: Tower, j: int, rows: Sequence[Sequence[int]]) -> TailVector:
+def portrait_tail_image(tower: Tower, j: int, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The tail image read off the rows of an element of the level-j tail.
 
     Coordinate (s, b), the local abelianization at level s, is the sum mod p
     of the digit-(j+s) translations in block b: p**s adjacent row entries.
     """
-    p, n = tower.p, tower.n
-    coords = tuple(
-        sum(rows[j + s][b * p**s : (b + 1) * p**s]) % p for s in range(n - j) for b in range(p**j)
+    p = tower.p
+    return tuple(
+        sum(rows[j + s][b * p**s : (b + 1) * p**s]) % p for s in range(tower.n - j) for b in range(p**j)
     )
-    return TailVector(p, n, j, coords)
 
 
 def block_transport(tower: Tower, j: int, g: Perm) -> Optional[tuple[int, ...]]:

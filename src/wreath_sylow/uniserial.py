@@ -19,17 +19,17 @@ this module:
 The prefix group permutes the blocks transitively, so the per-summand
 augmentation subspace is the sum-zero hyperplane and the per-summand fixed
 space is the diagonal line.  These closed forms are what is computed; the
-generic fixed and augmentation solves in linalg remain only as the
-reference the tests compare against.
+generic fixed and augmentation solves are test references only
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .linalg import Subspace, left_kernel, spin
-from .tower import TailVector, Tower, tail_coordinate_perms
+from .tower import Tower, tail_coordinate_perms
 
 # which complement the engine builds from a level choice
 STYLE_CO_SHIFT = "co_shift"  # prefix gens plus co-shifts at the chosen levels
@@ -44,8 +44,8 @@ class LevelChoice:
     style: str
 
 
-def level_sums(v: TailVector) -> tuple[int, ...]:
-    """Per-level block sums: the map killing the augmentation subspace.
+def level_sums(coords: Sequence[int], p: int, blocks: int) -> tuple[int, ...]:
+    """Per-level block sums of a tail vector: the map killing the augmentation subspace.
 
     On the quotient by the augmentation subspace this is an isomorphism onto
     F_p^(n-j); note that it kills the diagonal vectors themselves for j >= 1
@@ -53,7 +53,7 @@ def level_sums(v: TailVector) -> tuple[int, ...]:
     are coordinatized by their diagonal multipliers instead, see
     module_invariants.
     """
-    return tuple(sum(v.summand(s)) % v.p for s in range(v.levels))
+    return tuple(sum(coords[k : k + blocks]) % p for k in range(0, len(coords), blocks))
 
 
 def module_invariants(tower: Tower, j: int, u: Subspace) -> tuple[int, Subspace]:
@@ -64,7 +64,7 @@ def module_invariants(tower: Tower, j: int, u: Subspace) -> tuple[int, Subspace]
     combination of their residuals modulo u vanishes.
     """
     p, m, blocks = tower.p, tower.n - j, tower.p**j
-    sums = [level_sums(TailVector(p, tower.n, j, row)) for row in u.rows]
+    sums = [level_sums(row, p, blocks) for row in u.rows]
     ech = u._view()
     residuals = [
         ech.residual([0] * (s * blocks) + [1] * blocks + [0] * ((m - 1 - s) * blocks))
@@ -76,25 +76,29 @@ def module_invariants(tower: Tower, j: int, u: Subspace) -> tuple[int, Subspace]
     )
 
 
-def generates_uniserial(tower: Tower, v: TailVector) -> bool:
-    """Does v generate a uniserial submodule of full length p^j?
+def generates_uniserial(tower: Tower, j: int, coords: Sequence[int]) -> bool:
+    """Does the level-j tail vector generate a uniserial submodule of full length p^j?
 
-    Equivalent conditions, checked per summand s:
-    (a) projecting the module generated by v onto summand s is injective,
-        tested as equal spin dimensions of v and of v cut down to s;
-    (b) the summand-s part of v lies outside the augmentation subspace,
-        i.e. its block sum is nonzero.
+    Equivalent conditions, checked per summand s (the slice of p^j
+    coordinates at level j+s):
+    (a) projecting the module generated by the vector onto summand s is
+        injective, tested as equal spin dimensions of the vector and of the
+        vector cut down to s;
+    (b) the summand-s slice lies outside the augmentation subspace, i.e.
+        its block sum is nonzero.
     True iff some summand passes both.
     """
-    perms = tail_coordinate_perms(tower, v.j)
-    if not any(x % v.p for x in v.coords):
+    p, dim, blocks = tower.p, len(coords), tower.p**j
+    perms = tail_coordinate_perms(tower, j)
+    if not any(x % p for x in coords):
         return False
-    full = spin(v.p, v.dim, [v.coords], perms).rank
-    for s in range(v.levels):
-        if sum(v.summand(s)) % v.p == 0:
+    full = spin(p, dim, [coords], perms).rank
+    for k in range(0, dim, blocks):
+        if sum(coords[k : k + blocks]) % p == 0:
             continue
-        alone = v.with_only_summand(s)
-        if spin(v.p, v.dim, [alone.coords], perms).rank == full:
+        alone = [0] * dim
+        alone[k : k + blocks] = coords[k : k + blocks]
+        if spin(p, dim, [alone], perms).rank == full:
             return True
     return False
 

@@ -103,9 +103,11 @@ def parse_word(tower: Tower, text: str) -> Perm:
     return _Parser(tower, _tokenize(s)).parse()
 
 
+def generator_items(text: str) -> list[str]:
+    """The non-blank items of a semicolon-separated generator list."""
+    return [part for part in text.split(";") if part.strip()]
+
+
 def parse_generators(tower: Tower, text: str) -> list[Perm]:
     """Semicolon-separated list of words or cycle strings."""
-    items = [part for part in text.split(";") if part.strip()]
-    if not items:
-        return []
-    return [parse_word(tower, part) for part in items]
+    return [parse_word(tower, part) for part in generator_items(text)]

@@ -1,5 +1,12 @@
 """Slow reference implementations that the tests compare the engine against.
 
+Dense linear algebra (``fixed_subspace``, ``augmentation_subspace``,
+``intersect``) for the invariants that ``uniserial`` reads off in closed
+form; brute-force groups (``normal_closure``, ``derived_subgroup_from_gens``,
+``center``, and ``bfs_order`` and ``normal_closure_order``, which count the
+3^13 elements at p = 3, n = 3 by walking packed images); ``member``, and
+``random_tail``, a random element of the level-j tail.
+
 ``verify_complement_all_conjugates`` is the certificate before it read tail
 generators as block pieces: it builds every prefix conjugate of the tail
 part at full degree, takes each one's tail image, and multiplies the pairs
@@ -11,13 +18,132 @@ outside N and the current subgroup as the next generator, with a memo of
 the subgroups already reached.
 """
 
-from wreath_sylow import complements
+from operator import methodcaller
+from typing import Sequence
+
+from wreath_sylow import complements, oracle
 from wreath_sylow.complements import Certificate, complement_order_exponent
-from wreath_sylow.linalg import Subspace
+from wreath_sylow.linalg import Matrix, Subspace, left_kernel
 from wreath_sylow.oracle import SEARCH_CAP, CapExceeded, GroupSet, _check_size, element_order
 from wreath_sylow.perm import Perm, conjugate
-from wreath_sylow.tower import NotInTail, NotInTower, block_conjugates, scale_gens, tail_image
+from wreath_sylow.tower import NotInTail, NotInTower, block_conjugates, random_element, scale_gens, tail_image, tower
 from wreath_sylow.uniserial import STYLE_CO_SHIFT
+
+
+def member(handle, x: Perm) -> bool:
+    """Membership in the normal closure: x keeps the j-blocks and its tail image is in the spun image."""
+    try:
+        v = tail_image(handle.tower, handle.j, x)
+    except NotInTail:
+        return False
+    return handle.image.contains(v)
+
+
+def random_tail(tw, j: int, rng) -> Perm:
+    """A random element of the level-j tail: one random height-(n-j) element per block."""
+    local = tower(tw.p, tw.n - j)
+    size = tw.p ** (tw.n - j)
+    images = []
+    for b in range(tw.p**j):
+        loc = random_element(local, rng)
+        images.extend(b * size + loc.images[y] for y in range(size))
+    return Perm(images)
+
+
+def fixed_subspace(p: int, dim: int, actions: Sequence[Matrix]) -> Subspace:
+    """Common fixed vectors: the intersection of the kernels of (action - 1)."""
+    if not actions:
+        return Subspace.full(p, dim)
+    stacked = []
+    for k in range(dim):
+        row: list[int] = []
+        for mat in actions:
+            row.extend((m - (1 if c == k else 0)) % p for c, m in enumerate(mat[k]))
+        stacked.append(row)
+    combos = left_kernel(stacked, p, dim * len(actions))
+    return Subspace.span(p, dim, combos)
+
+
+def augmentation_subspace(p: int, dim: int, actions: Sequence[Matrix]) -> Subspace:
+    """Span of (action - 1) applied to the ambient basis, over all actions."""
+    vecs = []
+    for mat in actions:
+        for k in range(dim):
+            row = list(mat[k])
+            row[k] = (row[k] - 1) % p
+            vecs.append(row)
+    return Subspace.span(p, dim, vecs)
+
+
+def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """The meet of two subspaces of one ambient space, via the left kernel of the stacked bases."""
+    a._check_compatible(b)
+    vecs = []
+    for c in left_kernel(a.rows + b.rows, a.p, a.dim):
+        v = [0] * a.dim
+        for coef, row in zip(c[: a.rank], a.rows):
+            if coef:
+                for k in range(a.dim):
+                    v[k] = (v[k] + coef * row[k]) % a.p
+        vecs.append(v)
+    return Subspace.span(a.p, a.dim, vecs)
+
+
+def normal_closure(gens: Sequence, ambient_gens: Sequence, cap: int = oracle.BFS_CAP, identity=None) -> GroupSet:
+    """Smallest subgroup containing gens and closed under ambient conjugation.
+
+    Single walk whose moves are right multiplication by the given generators
+    and conjugation by the ambient generators; both stay inside the normal
+    closure, and every product of conjugates is reachable by inducting on
+    its length.
+    """
+    e = oracle._identity_of(tuple(gens) + tuple(ambient_gens), identity)
+    moves = [lambda x, g=g: x * g for g in gens]
+    moves += [lambda x, a=a, ai=a.inverse(): a * x * ai for a in ambient_gens]
+    seen = oracle._walk([e], moves, cap, "normal closure")
+    return GroupSet(frozenset(seen), tuple(gens), e)
+
+
+def derived_subgroup_from_gens(gens: Sequence, cap: int = oracle.BFS_CAP) -> GroupSet:
+    """Commutator subgroup of <gens>: the normal closure of the generator commutators."""
+    comms = []
+    for a in gens:
+        for b in gens:
+            comms.append(a * b * a.inverse() * b.inverse())
+    return normal_closure(comms, gens, cap=cap, identity=oracle._identity_of(gens, None))
+
+
+def center(group: GroupSet) -> GroupSet:
+    elems = [
+        x
+        for x in group.sorted_elements()
+        if all(x * g == g * x for g in group.gens)
+    ]
+    return GroupSet(frozenset(elems), tuple(elems), group.identity)
+
+
+def _translation_tables(gens: Sequence[Perm]) -> list[bytes]:
+    return [bytes(g.images) + bytes(range(g.degree, 256)) for g in gens]
+
+
+def bfs_order(gens: Sequence[Perm], cap: int = 2**21) -> int:
+    """Order of the closure, counting only; packs images to keep memory flat."""
+    if not gens:
+        return 1
+    moves = [methodcaller("translate", t) for t in _translation_tables(gens)]
+    return len(oracle._walk([bytes(range(gens[0].degree))], moves, cap))
+
+
+def normal_closure_order(gens: Sequence[Perm], ambient_gens: Sequence[Perm], cap: int = 2**21) -> int:
+    """Order of the normal closure, counting only (packed images, flat memory)."""
+    if not gens:
+        return 1
+    moves = [methodcaller("translate", t) for t in _translation_tables(gens)]
+    moves += [
+        lambda x, t=t, ai=a.inverse().images: bytes(map(x.translate(t).__getitem__, ai))
+        for a, t in zip(ambient_gens, _translation_tables(ambient_gens))
+    ]
+    return len(oracle._walk([bytes(range(gens[0].degree))], moves, cap, "normal closure"))
 
 
 def verify_complement_all_conjugates(handle, decision) -> Certificate:
@@ -47,7 +173,7 @@ def verify_complement_all_conjugates(handle, decision) -> Certificate:
     for g in tail_gens:
         conjs.extend(block_conjugates(tw, j, g))
     try:
-        images = [tail_image(tw, j, d).coords for d in conjs]
+        images = [tail_image(tw, j, d) for d in conjs]
     except (NotInTail, NotInTower):
         images = None
     tail_ok = images is not None

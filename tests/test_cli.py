@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -6,6 +8,7 @@ import wreath_sylow as ws
 from wreath_sylow import cli, oracle
 from wreath_sylow.cli import main
 from wreath_sylow.perm import conjugate, format_cycles
+from wreath_sylow.tower import DEGREE_CAP
 from wreath_sylow.words import parse_generators, parse_word
 
 T33 = ws.tower(3, 3)
@@ -155,6 +158,14 @@ def test_cli_corpus(capsys):
     assert "FAIL" not in out
 
 
+def test_cli_corpus_json_is_pinned(capsys):
+    # the recorded output's sha256: a change to the corpus JSON must update it on purpose
+    code, out = run_cli(capsys, "corpus", "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "188d3ddb4caaa930996a58687a1392fbeb6de7a71ac5b1583aa1db7768dcc490"
+
+
 def test_cli_oracle_crosscheck_small(capsys):
     code, out = run_cli(
         capsys, "oracle", "crosscheck", "--p", "2", "--n", "2", "--format", "json"
@@ -221,6 +232,26 @@ def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decide", "--p", "3", "--n", "3", "--r", "2", "--gens", "s0"])
     assert exc.value.code == 2
+
+
+def test_cli_off_tower_item_is_named(capsys):
+    # at odd p a scaling map normalizes the tower but is not in it
+    assert main(["decide", "--p", "5", "--n", "3", "--gens", "s0; s1 * e2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'s1 * e2' is not in the tower" in err
+    assert "the scaling map e2 normalizes the tower but is not in it" in err
+    # a cycle string off the tower is named too, with no scaling remark
+    assert main(["decide", "--p", "3", "--n", "2", "--gens", "s1; (0 1)"]) == 2
+    err = capsys.readouterr().err
+    assert "'(0 1)' is not in the tower" in err and "scaling" not in err
+
+
+def test_cli_refuses_degree_above_cap_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["decide", "--p", "2", "--n", "40", "--gens", "s0"]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err == f"error: degree 2**40 exceeds the degree cap {DEGREE_CAP}\n"
 
 
 def test_cli_bad_indices_name_the_flag(capsys):

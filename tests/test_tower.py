@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wreath_sylow as ws
+from reference import bfs_order, random_tail
 from wreath_sylow import oracle
 from wreath_sylow.linalg import permute
 from wreath_sylow.perm import Perm, conjugate, format_cycles, parse_cycles
 from wreath_sylow.tower import (
+    DEGREE_CAP,
     NotInTail,
     NotInTower,
     block_conjugates,
@@ -38,6 +40,11 @@ def test_tower_validation():
     assert ws.tower(5, 1).r == 2
     assert ws.tower(7, 1).r == 3
     assert ws.tower(2, 3).r == 1
+    # the degree cap admits (2, 14) and refuses a bigger degree or a huge n at once
+    assert ws.tower(2, 14).degree == DEGREE_CAP
+    for p, n in [(2, 15), (3, 9), (7, 5), (2, 10**12)]:
+        with pytest.raises(ValueError, match="exceeds the degree cap"):
+            ws.Tower(p, n)
 
 
 def test_scale_group_is_independent_of_the_primitive_root():
@@ -110,12 +117,12 @@ def test_tower_orders_via_bfs():
     # Sylow order of the symmetric group on p^n points
     for p, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2)]:
         tw = ws.tower(p, n)
-        assert oracle.bfs_order(ws.shift_gens(tw)) == p ** tw.order_exponent()
+        assert bfs_order(ws.shift_gens(tw)) == p ** tw.order_exponent()
 
 
 def test_tower_order_3_3_counted():
     # 3^13 elements; counted with the packed breadth-first walk
-    assert oracle.bfs_order(ws.shift_gens(T33)) == 3**13
+    assert bfs_order(ws.shift_gens(T33)) == 3**13
 
 
 def test_scale_shift_identities():
@@ -205,27 +212,27 @@ def test_random_element_is_fixed_by_the_seed():
 def test_abelianization_of_generators():
     for i, sig in enumerate(ws.shift_gens(T33)):
         expected = tuple(1 if k == i else 0 for k in range(3))
-        assert ws.abelianization(T33, sig) == expected
+        assert ws.tail_image(T33, 0, sig) == expected
     for i in (1, 2):
         rho = ws.co_shift_gen(T33, i)
         expected = tuple(-1 % 3 if k == i else 0 for k in range(3))
-        assert ws.abelianization(T33, rho) == expected
+        assert ws.tail_image(T33, 0, rho) == expected
     s0, s1, _ = ws.shift_gens(T33)
-    assert ws.abelianization(T33, ws.commutator(s0, s1)) == (0, 0, 0)
+    assert ws.tail_image(T33, 0, ws.commutator(s0, s1)) == (0, 0, 0)
 
 
 def test_tail_image_top_shift():
     v = ws.tail_image(T33, 1, ws.shift_gen(T33, 2))
-    assert v.summand(0) == (0, 0, 0)
-    assert v.summand(1) == (1, 0, 0)
+    assert v[:3] == (0, 0, 0)
+    assert v[3:] == (1, 0, 0)
 
 
 def test_tail_image_of_diagonal_product():
     s0, s1, _ = ws.shift_gens(T33)
     gamma = s1 * conjugate(s1, s0) * conjugate(s1, s0 * s0)
     v = ws.tail_image(T33, 1, gamma)
-    assert v.summand(0) == (1, 1, 1)
-    assert v.summand(1) == (0, 0, 0)
+    assert v[:3] == (1, 1, 1)
+    assert v[3:] == (0, 0, 0)
 
 
 def test_tail_image_kills_tail_commutators():
@@ -239,7 +246,7 @@ def test_tail_image_kills_tail_commutators():
         y = _embed_in_block(tw, j, 0, t2) * _embed_in_block(tw, j, 2, t1)
         comm = ws.commutator(x, y)
         assert ws.in_tail(tw, j, comm)
-        assert not any(ws.tail_image(tw, j, comm).coords)
+        assert not any(ws.tail_image(tw, j, comm))
 
 
 def _embed_in_block(tw, j, b, local):
@@ -260,19 +267,11 @@ def test_tail_action_equivariance():
     for tw, j in [(T33, 1), (ws.tower(2, 3), 1), (ws.tower(3, 4), 2)]:
         perms = tail_coordinate_perms(tw, j)
         for _ in range(10):
-            x = _random_tail_element(tw, j, rng)
+            x = random_tail(tw, j, rng)
             i = rng.randrange(j)
             lhs = ws.tail_image(tw, j, conjugate(x, ws.shift_gen(tw, i)))
-            rhs = permute(ws.tail_image(tw, j, x).coords, perms[i])
-            assert lhs.coords == rhs
-
-
-def _random_tail_element(tw, j, rng):
-    local_tw = ws.tower(tw.p, tw.n - j)
-    out = Perm.identity(tw.degree)
-    for b in range(tw.p**j):
-        out = out * _embed_in_block(tw, j, b, random_element(local_tw, rng))
-    return out
+            rhs = permute(ws.tail_image(tw, j, x), perms[i])
+            assert lhs == rhs
 
 
 def _abelianization_reference(local, p):
@@ -288,13 +287,13 @@ def test_tail_image_matches_per_block_abelianization():
             size = p ** (n - j)
             local_tw = ws.tower(p, n - j)
             for _ in range(4):
-                x = _random_tail_element(tw, j, rng)
+                x = random_tail(tw, j, rng)
                 v = ws.tail_image(tw, j, x)
                 for b in range(p**j):
                     local = Perm(x.images[a] - b * size for a in range(b * size, (b + 1) * size))
                     expected = _abelianization_reference(local, p)
-                    assert ws.abelianization(local_tw, local) == expected
-                    assert tuple(v.summand(s)[b] for s in range(n - j)) == expected
+                    assert ws.tail_image(local_tw, 0, local) == expected
+                    assert tuple(v[s * p**j + b] for s in range(n - j)) == expected
 
 
 def test_block_conjugates_are_prefix_rep_conjugates():
@@ -311,10 +310,10 @@ def test_tail_image_is_a_homomorphism():
     rng = random.Random(5)
     tw, j = T33, 1
     for _ in range(10):
-        x = _random_tail_element(tw, j, rng)
-        y = _random_tail_element(tw, j, rng)
+        x = random_tail(tw, j, rng)
+        y = random_tail(tw, j, rng)
         vx, vy, vxy = (ws.tail_image(tw, j, z) for z in (x, y, x * y))
-        assert vxy.coords == tuple((a + b) % 3 for a, b in zip(vx.coords, vy.coords))
+        assert vxy == tuple((a + b) % 3 for a, b in zip(vx, vy))
 
 
 def test_tail_action_fixes_diagonal():
@@ -342,7 +341,7 @@ def test_block_pieces_rebuild_the_element():
     for p, n in [(2, 4), (3, 3), (5, 2)]:
         tw = ws.tower(p, n)
         for j in range(n):
-            x = _random_tail_element(tw, j, rng)
+            x = random_tail(tw, j, rng)
             size = p ** (n - j)
             pieces = block_pieces(tw, j, x)
             images = list(range(tw.degree))
