@@ -44,7 +44,6 @@ from .uniserial import (
     STYLE_CO_SHIFT,
     STYLE_PREFIX,
     generates_uniserial,
-    level_sums,
 )
 from .words import parse_generators, parse_word
 

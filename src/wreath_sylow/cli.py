@@ -71,8 +71,11 @@ def cmd_gens(args) -> int:
         "co_shift": {
             f"r{i}": format_cycles(g) for i, g in enumerate(co_shift_gens(tw), start=1)
         },
+        # base_translations(tw)[b] is the p-cycle on the points with (n-1)-prefix b;
+        # printed from that support, as building the p**(n-1) cycles is quadratic
         "base": {
-            f"base{b}": format_cycles(g) for b, g in enumerate(base_translations(tw))
+            f"base{b}": "(" + " ".join(map(str, range(b * tw.p, (b + 1) * tw.p))) + ")"
+            for b in range(tw.p ** (tw.n - 1))
         },
     }
     report = {"schema": 1, "p": tw.p, "n": tw.n, "r": tw.r, "generators": families}

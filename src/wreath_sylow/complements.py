@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .linalg import Subspace, spin
+from .linalg import Subspace, layout, spin
 from .perm import Perm, conjugate, format_cycles
 from .tower import (
     NotInTail,
@@ -206,11 +206,11 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     expected_rank = len(tail_gens) * tw.p**j
     part = _conjugate_images(tw, j, tail_gens)
     tail_ok = part is not None
-    images, abelian = part if tail_ok else ([], False)
+    images, abelian = part if tail_ok else ((), False)
     checks["tail_part_in_tail"] = tail_ok
     checks["tail_part_order_p"] = all(g.order() == tw.p for g in tail_gens)
     checks["tail_part_abelian"] = abelian
-    span = Subspace.span(tw.p, (tw.n - j) * tw.p**j, images)
+    span = Subspace.from_packed(tw.p, (tw.n - j) * tw.p**j, images)
     checks["tail_part_rank"] = tail_ok and span.rank == expected_rank
     # dim(A + B) = dim A + dim B exactly when A meets B in 0
     checks["meets_closure_trivially"] = tail_ok and (
@@ -232,8 +232,8 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
 
 def _conjugate_images(
     tw: Tower, j: int, tail_gens: list[Perm]
-) -> Optional[tuple[Iterator[list[int]], bool]]:
-    """Tail images of the tail generators' prefix conjugates, and whether they commute.
+) -> Optional[tuple[Iterator[int], bool]]:
+    """Packed tail images of the tail generators' prefix conjugates, and whether they commute.
 
     The conjugates come in ``block_conjugates`` order, read off the block
     pieces.  None when a generator is off the tail, or when a prefix shift
@@ -284,14 +284,16 @@ def _conjugate_images(
         if not landed[a].isdisjoint(landed[b])
     )
 
-    def image(ps: dict, ls: dict, b: int) -> list[int]:
-        v = [0] * ((tw.n - j) * blocks)
-        for c, piece in ps.items():
-            for s, x in enumerate(local_images[piece]):
-                v[s * blocks + ls[c][b]] = x
-        return v
+    width = layout(p, (tw.n - j) * blocks).width
 
-    # made one at a time as the span takes them: p**j vectors of length dim
+    def image(ps: dict, ls: dict, b: int) -> int:
+        return sum(
+            x << (s * blocks + ls[c][b]) * width
+            for c, piece in ps.items()
+            for s, x in enumerate(local_images[piece])
+        )
+
+    # made one at a time as the span takes them: p**j packed vectors
     images = (image(ps, ls, b) for ps, ls in zip(pieces, lands) for b in range(blocks))
     return images, abelian
 

@@ -54,8 +54,10 @@ from .linalg import Matrix, perm_action_matrix
 from .perm import Perm, conjugate
 
 
-# Largest degree p**n a Tower accepts: (2, 14) spins dense 8192-wide rows at
-# depth 13, and a bigger tower would exhaust memory before it is decided.
+# Largest degree p**n a Tower accepts, so oversized input is refused before
+# any permutation is built.  At the cap, deciding s13 at (2, 14) spins packed
+# 8192-wide rows (an echelon of 8192**2 bits); each doubling of the degree
+# doubles the point-by-point permutation work and quadruples the echelon.
 DEGREE_CAP = 2**14
 
 

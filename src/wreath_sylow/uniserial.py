@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Subspace, left_kernel, spin
+from .linalg import Subspace, kernel_packed, layout, spin
 from .tower import Tower, tail_coordinate_perms
 
 # which complement the engine builds from a level choice
@@ -44,35 +44,31 @@ class LevelChoice:
     style: str
 
 
-def level_sums(coords: Sequence[int], p: int, blocks: int) -> tuple[int, ...]:
-    """Per-level block sums of a tail vector: the map killing the augmentation subspace.
-
-    On the quotient by the augmentation subspace this is an isomorphism onto
-    F_p^(n-j); note that it kills the diagonal vectors themselves for j >= 1
-    (a constant block row sums to p^j * c = 0), which is why socle vectors
-    are coordinatized by their diagonal multipliers instead, see
-    module_invariants.
-    """
-    return tuple(sum(coords[k : k + blocks]) % p for k in range(0, len(coords), blocks))
-
-
 def module_invariants(tower: Tower, j: int, u: Subspace) -> tuple[int, Subspace]:
     """(rank of u modulo the augmentation subspace, socle coordinates of u).
 
     For an invariant u (not checked).  The augmentation is the kernel of
-    level_sums; a combination of the level diagonals lies in u iff the same
-    combination of their residuals modulo u vanishes.
+    the per-level block sums, which map the quotient by it isomorphically
+    onto F_p^(n-j).  They kill the diagonals themselves for j >= 1 (a
+    constant level slice sums to p^j * c = 0), so the socle is coordinatized
+    by diagonal multipliers instead: a combination of the level diagonals
+    lies in u iff the same combination of their residuals modulo u
+    vanishes.  Both are read off u's packed rows: a level sum is a lane sum
+    of the level's slice, and a diagonal's residual subtracts the rows with
+    a pivot in its level.
     """
     p, m, blocks = tower.p, tower.n - j, tower.p**j
-    sums = [level_sums(row, p, blocks) for row in u.rows]
-    ech = u._view()
-    residuals = [
-        ech.residual([0] * (s * blocks) + [1] * blocks + [0] * ((m - 1 - s) * blocks))
-        for s in range(m)
-    ]
+    lay = layout(p, u.dim)
+    shift = blocks * lay.width
+    level = (1 << shift) - 1  # the lanes of the level-j slice
+    out = layout(p, m).width
+    sums = (
+        sum(lay.lane_sum(w >> s * shift & level) << s * out for s in range(m)) for w in u.packed
+    )
+    residuals = [u._view.residual(lay.ones & level << s * shift) for s in range(m)]
     return (
-        Subspace.span(p, m, sums).rank,
-        Subspace.span(p, m, left_kernel(residuals, p, u.dim)),
+        Subspace.from_packed(p, m, sums).rank,
+        Subspace.from_packed(p, m, kernel_packed(p, u.dim, residuals)),
     )
 
 
@@ -119,15 +115,12 @@ def levels_from_socle(tower: Tower, j: int, soc: Subspace) -> Optional[LevelChoi
     On a non-summand the socle is too big and the levels would not complement.
     """
     m = tower.n - j
-    in_e = all(row[0] == 0 for row in soc.rows)
+    lay = layout(tower.p, m)
+    in_e = all(row & lay.lane == 0 for row in soc.packed)
     if not in_e:
         # greedy from the smallest index; S + E is everything, so this fills up
         ech = soc._ech()
-        chosen = []
-        for t in range(1, m):
-            e_t = tuple(1 if k == t else 0 for k in range(m))
-            if ech.insert(e_t):
-                chosen.append(j + t)
+        chosen = [j + t for t in range(1, m) if ech.insert(1 << t * lay.width)]
         return LevelChoice(tuple(chosen), STYLE_CO_SHIFT)
     if soc.rank == m - 1:
         return LevelChoice((j,), STYLE_PREFIX)

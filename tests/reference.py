@@ -12,14 +12,22 @@ generators as block pieces: it builds every prefix conjugate of the tail
 part at full degree, takes each one's tail image, and multiplies the pairs
 whose supports meet.
 
+``level_sums`` is the per-level block sum on a coordinate tuple, which
+``uniserial.module_invariants`` reads off packed rows as lane sums.
+
+``ListEchelon`` and ``permute`` are the list-row F_p kernel before rows
+were packed into ints: ``span_rows``, ``left_kernel_rows`` and ``spin_rows``
+give the canonical basis tuples that ``linalg`` must match.
+
 ``complements_by_extension`` is the oracle's complement search before it
 lifted the group's generators over the cosets of N: it tries every element
 outside N and the current subgroup as the next generator, with a memo of
 the subgroups already reached.
 """
 
+import bisect
 from operator import methodcaller
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from wreath_sylow import complements, oracle
 from wreath_sylow.complements import Certificate, complement_order_exponent
@@ -28,6 +36,105 @@ from wreath_sylow.oracle import SEARCH_CAP, CapExceeded, GroupSet, _check_size, 
 from wreath_sylow.perm import Perm, conjugate
 from wreath_sylow.tower import NotInTail, NotInTower, block_conjugates, random_element, scale_gens, tail_image, tower
 from wreath_sylow.uniserial import STYLE_CO_SHIFT
+
+
+class ListEchelon:
+    """Mutable reduced-row-echelon accumulator on list rows, one coordinate at a time."""
+
+    def __init__(self, p: int, width: int):
+        self.p = p
+        self.width = width
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def residual(self, v: Sequence[int]) -> list[int]:
+        p = self.p
+        w = [x % p for x in v]
+        for row, piv in zip(self.rows, self.pivots):
+            c = w[piv]
+            if c:
+                for k in range(piv, self.width):
+                    w[k] = (w[k] - c * row[k]) % p
+        return w
+
+    def insert(self, v: Sequence[int]) -> bool:
+        """Reduce v and add it to the basis; False if v was already in the span."""
+        p = self.p
+        w = self.residual(v)
+        piv = next((k for k, x in enumerate(w) if x), None)
+        if piv is None:
+            return False
+        if w[piv] != 1:
+            inv = pow(w[piv], -1, p)
+            w = [x * inv % p for x in w]
+        # clear the new pivot column from the existing rows, keep pivot order
+        for row in self.rows:
+            c = row[piv]
+            if c:
+                for k in range(piv, self.width):
+                    row[k] = (row[k] - c * w[k]) % p
+        at = bisect.bisect(self.pivots, piv)
+        self.rows.insert(at, w)
+        self.pivots.insert(at, piv)
+        return True
+
+    def contains(self, v: Sequence[int]) -> bool:
+        return not any(self.residual(v))
+
+    def take_rows(self) -> Matrix:
+        return tuple(tuple(r) for r in self.rows)
+
+
+def span_rows(p: int, dim: int, vectors: Iterable[Sequence[int]]) -> Matrix:
+    ech = ListEchelon(p, dim)
+    for v in vectors:
+        ech.insert(v)
+    return ech.take_rows()
+
+
+def left_kernel_rows(rows: Sequence[Sequence[int]], p: int, width: int) -> list[tuple[int, ...]]:
+    """Augmented elimination: combinations that reduce the data part to zero."""
+    n = len(rows)
+    ech = ListEchelon(p, width + n)
+    kernel = []
+    for i, row in enumerate(rows):
+        aug = list(row) + [0] * n
+        aug[width + i] = 1
+        w = ech.residual(aug)
+        if not any(w[:width]):
+            kernel.append(tuple(w[width:]))
+        else:
+            ech.insert(w)
+    return kernel
+
+
+def permute(v: Sequence[int], point_map: Sequence[int]) -> tuple[int, ...]:
+    """v with coordinate k moved to point_map[k]; apply_map of perm_action_matrix in O(dim)."""
+    out = [0] * len(v)
+    for k, t in enumerate(point_map):
+        out[t] = v[k]
+    return tuple(out)
+
+
+def spin_rows(p: int, dim: int, seeds: Iterable[Sequence[int]], perms: Sequence[Sequence[int]]) -> Matrix:
+    """Worklist closure of the seeds under the coordinate permutations, on list rows."""
+    ech = ListEchelon(p, dim)
+    queue = []
+    for v in seeds:
+        if ech.insert(v):
+            queue.append(tuple(x % p for x in v))
+    while queue:
+        v = queue.pop()
+        for q in perms:
+            w = permute(v, q)
+            if ech.insert(w):
+                queue.append(w)
+    return ech.take_rows()
+
+
+def level_sums(coords: Sequence[int], p: int, blocks: int) -> tuple[int, ...]:
+    """Per-level block sums of a tail vector: the map killing the augmentation subspace."""
+    return tuple(sum(coords[k : k + blocks]) % p for k in range(0, len(coords), blocks))
 
 
 def member(handle, x: Perm) -> bool:

@@ -63,6 +63,32 @@ def test_cli_gens_text(capsys):
     assert lines["base4"] == "(12 13 14)"
 
 
+def test_cli_gens_base_family_is_base_translations(capsys):
+    for p, n in [(2, 1), (2, 4), (3, 3), (5, 2)]:
+        code, out = run_cli(capsys, "gens", "--p", str(p), "--n", str(n), "--format", "json")
+        assert code == 0
+        base = json.loads(out)["generators"]["base"]
+        assert base == {f"base{b}": format_cycles(g) for b, g in enumerate(ws.base_translations(ws.tower(p, n)))}
+
+
+# sha256 of the recorded JSON outputs: a change to one must update it on purpose
+JSON_PINS = {
+    # p = 131: an 8-bit lane cannot hold 2p - 2
+    "decide --p 131 --n 1 --gens s0": "6a479180e8c0e372b01860e3c45bf610be9e171dd27760ab64c8c1f250bafcaf",
+    # the widest lane the degree cap admits with a tail
+    "decide --p 127 --n 2 --gens s1": "4189e8d16bb72b5b377bf98690f33f3a43566ecdb2b57d72d61bd951ecc74444",
+    "gens --p 2 --n 6": "e6bdfe205cc202cee486cb545d5966e49ddc46db26ad260e23a607f925d2ec85",
+    "gens --p 3 --n 4": "671e379c5669738612c48f8b1042ded1428c2d794a7a2825960d3a7b6a2e1c61",
+}
+
+
+@pytest.mark.parametrize("argv", list(JSON_PINS))
+def test_cli_json_is_pinned(capsys, argv):
+    code, out = run_cli(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_PINS[argv]
+
+
 def test_cli_gens_json_deterministic(capsys):
     code1, out1 = run_cli(capsys, "gens", "--p", "2", "--n", "3", "--format", "json")
     code2, out2 = run_cli(capsys, "gens", "--p", "2", "--n", "3", "--format", "json")

@@ -1,9 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wreath_sylow as ws
-from reference import augmentation_subspace, fixed_subspace, intersect
+from reference import (
+    ListEchelon,
+    augmentation_subspace,
+    fixed_subspace,
+    intersect,
+    left_kernel_rows,
+    span_rows,
+    spin_rows,
+)
 from wreath_sylow.linalg import (
+    Layout,
     Subspace,
     apply_map,
     left_kernel,
@@ -11,7 +22,7 @@ from wreath_sylow.linalg import (
     perm_action_matrix,
     spin,
 )
-from wreath_sylow.tower import point_action_matrices, tail_coordinate_perms
+from wreath_sylow.tower import DEGREE_CAP, is_prime, point_action_matrices, tail_coordinate_perms
 
 
 def test_span_trivials():
@@ -167,3 +178,56 @@ def test_doubling_preserves_uniseriality():
         + [(0,) * 4 + row for row in chain_small[1].rows]
     )
     assert chain_big[2] == doubled
+
+
+def test_lane_width_holds_every_prime_under_the_degree_cap():
+    # at odd p a lane must hold 2p - 1 (a reduced entry plus p minus another)
+    # without spilling into its neighbours, for every p a height-1 tower
+    # admits; p = 2 adds by XOR and never reduces
+    for p in filter(is_prime, range(3, DEGREE_CAP + 1)):
+        lay = Layout(p, 5)
+        lanes = (2 * p - 1, 0, 2 * p - 2, p, p - 1)
+        x = sum(v << k * lay.width for k, v in enumerate(lanes))
+        assert lay.unpack(lay.reduce(x)) == (p - 1, 0, p - 2, 0, p - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 131])
+def test_packed_kernel_matches_list_reference(p):
+    """span, contains, sum_with, left_kernel and spin against the list-row kernel.
+
+    Entries run outside 0..p-1, negative ones included, and some vectors are
+    combinations of earlier ones so that spans drop rank; the permutations
+    are random, not prefix shifts.
+    """
+    rng = random.Random(p)
+
+    def vectors(dim, count):
+        out = []
+        for _ in range(count):
+            if len(out) >= 2 and rng.random() < 0.3:
+                a, b = rng.sample(out, 2)
+                ca, cb = rng.randrange(-p, 2 * p), rng.randrange(-p, 2 * p)
+                out.append(tuple(ca * x + cb * y for x, y in zip(a, b)))
+            else:
+                out.append(tuple(rng.randrange(-2 * p, 2 * p) if rng.random() < 0.5 else 0 for _ in range(dim)))
+        return out
+
+    for _ in range(30):
+        dim = rng.choice([1, 2, 3, 5, 8, 13, 70])
+        us, vs = vectors(dim, rng.randrange(dim + 2)), vectors(dim, rng.randrange(4))
+        u, v = Subspace.span(p, dim, us), Subspace.span(p, dim, vs)
+        assert u.rows == span_rows(p, dim, us)
+        assert u.sum_with(v).rows == v.sum_with(u).rows == span_rows(p, dim, u.rows + v.rows)
+        ref = ListEchelon(p, dim)
+        for w in us:
+            ref.insert(w)
+        for w in vectors(dim, 6) + us:
+            assert u.contains(w) == ref.contains(w)
+        assert left_kernel(us, p, dim) == left_kernel_rows(us, p, dim)
+        perms = []
+        for _ in range(rng.randrange(3)):
+            q = list(range(dim))
+            rng.shuffle(q)
+            perms.append(tuple(q))
+        seeds = vectors(dim, rng.randrange(1, 3))
+        assert spin(p, dim, seeds, perms).rows == spin_rows(p, dim, seeds, perms)

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wreath_sylow as ws
-from reference import bfs_order, random_tail
+from reference import bfs_order, permute, random_tail
 from wreath_sylow import oracle
-from wreath_sylow.linalg import permute
 from wreath_sylow.perm import Perm, conjugate, format_cycles, parse_cycles
 from wreath_sylow.tower import (
     DEGREE_CAP,

@@ -3,8 +3,8 @@ import random
 from collections import Counter
 
 import wreath_sylow as ws
-from reference import augmentation_subspace, fixed_subspace, intersect, random_tail
-from wreath_sylow.linalg import Subspace, perm_action_matrix, permute, spin
+from reference import augmentation_subspace, fixed_subspace, intersect, level_sums, permute, random_tail
+from wreath_sylow.linalg import Subspace, perm_action_matrix, spin
 from wreath_sylow.perm import conjugate
 from wreath_sylow.tower import tail_coordinate_perms
 from wreath_sylow.uniserial import (
@@ -12,7 +12,6 @@ from wreath_sylow.uniserial import (
     STYLE_PREFIX,
     LevelChoice,
     generates_uniserial,
-    level_sums,
     levels_from_socle,
     module_invariants,
 )
