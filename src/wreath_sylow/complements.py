@@ -23,14 +23,16 @@ every question about N to small exact linear algebra:
   * prefix_tower style: the shift generators 0..j, a copy of the height
     j+1 tower.
 
-verify_complement certifies a positive answer from scratch: the order
-equation, trivial intersection (via ranks of the tail part's prefix
-conjugates' tail images, their order, and commutation where they meet),
-and the scaling identities.  The conjugates are not built: the level-j tail
-is the direct product of p**j height-(n-j) towers, a prefix shift moves the
-blocks rigidly, so a conjugate of a tail generator is the generator's block
-pieces moved to other blocks.  Each distinct piece is decomposed once, in
-the height-(n-j) tower.
+verify_complement certifies from scratch the generators that a positive
+decision returned, blind to its shape: the first j must be the prefix
+shifts, and the rest are the tail part.  It checks the order equation,
+trivial intersection (via ranks of the tail part's prefix conjugates' tail
+images, their order, and commutation where they meet), and the scaling
+identities.  The conjugates are not built: the level-j tail is the direct
+product of p**j height-(n-j) towers, a prefix shift moves the blocks
+rigidly, so a conjugate of a tail generator is the generator's block pieces
+moved to other blocks.  Each distinct piece is decomposed once, in the
+height-(n-j) tower.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .tower import (
     decompose,
     portrait_depth,
     portrait_tail_image,
+    prefix_block_maps,
     scale_gens,
     shift_gen,
     shift_gens,
@@ -145,11 +148,9 @@ def decide(handle: NormalClosure) -> Decision:
 
 
 def complement_order_exponent(handle: NormalClosure, decision: Decision) -> int:
-    """log_p of the constructed complement's order."""
+    """log_p of the complement's order: a height-j tower and p**j conjugates per later generator."""
     tw, j = handle.tower, handle.j
-    if decision.style == STYLE_CO_SHIFT:
-        return tw.order_exponent(j) + len(decision.levels) * tw.p**j
-    return tw.order_exponent(j + 1)
+    return tw.order_exponent(j) + (len(decision.gens) - j) * tw.p**j
 
 
 @dataclass(frozen=True)
@@ -165,24 +166,25 @@ class Certificate:
 
 
 def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
-    """Certify a positive decision.
+    """Certify the complement that a positive decision's gens generate.
 
     (i) order equation |C| * |N| = |tower| in exponents; (ii) trivial
-    intersection: the prefix conjugates of the tail part of C have
-    independent tail images (so the tail part maps isomorphically into the
-    abelianized tail) meeting the closure image in 0, and they commute
-    pairwise with order p (so the tail part is the expected elementary
-    abelian group); (iii) invariance: conjugating any complement generator
-    by any scale generator gives back the generator or its r-th power.
+    intersection: gens[:j] are the first j shift generators, and the prefix
+    conjugates of the tail part gens[j:] have independent tail images (so
+    the tail part maps isomorphically into the abelianized tail) meeting
+    the closure image in 0, and they commute pairwise with order p (so the
+    tail part is the expected elementary abelian group); (iii) invariance:
+    conjugating any complement generator by any scale generator gives back
+    the generator or its r-th power.
 
     The conjugates in (ii) are never built.  A tail generator is read as
-    its block pieces, and each prefix shift is checked once to move blocks
-    rigidly, so a conjugate is the same pieces on the blocks that the
-    prefix representative's block map gives.  A conjugate has the order of
-    the element conjugated; its tail image is its pieces' local images in
-    those columns; and two conjugates commute exactly when the pieces they
-    put on a common block do.  A tail part off the tail fails (ii) except
-    for the order check.
+    its block pieces, and each prefix generator is checked once to move
+    blocks rigidly by its shift's block map, so a conjugate is the same
+    pieces on the blocks that the prefix representative's block map gives.
+    A conjugate has the order of the element conjugated; its tail image is
+    its pieces' local images in those columns; and two conjugates commute
+    exactly when the pieces they put on a common block do.  A wrong prefix
+    part, or a tail part off the tail, fails (ii) except for the order check.
     """
     if not decision.has_complement:
         raise ValueError("nothing to verify for a negative decision")
@@ -199,12 +201,9 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     numbers["tower_exponent"] = tw.order_exponent()
 
     # tail part of the complement: conjugates of the generators beyond the prefix
-    if decision.style == STYLE_CO_SHIFT:
-        tail_gens = [co_shift_gen(tw, i) for i in decision.levels]
-    else:
-        tail_gens = [shift_gen(tw, j)]
+    tail_gens = decision.gens[j:]
     expected_rank = len(tail_gens) * tw.p**j
-    part = _conjugate_images(tw, j, tail_gens)
+    part = _conjugate_images(tw, j, decision.gens)
     tail_ok = part is not None
     images, abelian = part if tail_ok else ((), False)
     checks["tail_part_in_tail"] = tail_ok
@@ -218,10 +217,9 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     )
     numbers["tail_part_rank"] = span.rank
 
-    # conjugating by an identity scale generator (every one at p = 2) gives g back
-    etas = [eta for eta in scale_gens(tw) if not eta.is_identity]
+    # at p = 2, r = 1 and every scale generator is the identity
     ok = True
-    for eta in etas:
+    for eta in scale_gens(tw) if tw.p > 2 else ():
         for g in decision.gens:
             cg = conjugate(g, eta)
             if cg != g and cg != g**tw.r:
@@ -231,20 +229,22 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
 
 
 def _conjugate_images(
-    tw: Tower, j: int, tail_gens: list[Perm]
+    tw: Tower, j: int, gens: tuple[Perm, ...]
 ) -> Optional[tuple[Iterator[int], bool]]:
-    """Packed tail images of the tail generators' prefix conjugates, and whether they commute.
+    """Packed tail images of the tail part's prefix conjugates, and whether they commute.
 
-    The conjugates come in ``block_conjugates`` order, read off the block
-    pieces.  None when a generator is off the tail, or when a prefix shift
-    does not move the blocks rigidly.
+    A rigid block mover is determined by its block map, so the first j
+    generators are the prefix shifts exactly when their maps are
+    ``prefix_block_maps``.  The conjugates of the rest come in
+    ``block_conjugates`` order, read off the block pieces.  None when the
+    prefix part is wrong, or when a tail generator is off the tail.
     """
     p, blocks = tw.p, tw.p**j
-    transports = [block_transport(tw, j, shift_gen(tw, i)) for i in range(j)]
-    if None in transports:
+    transports = prefix_block_maps(tw, j)
+    if len(gens) < j or any(block_transport(tw, j, g) != bm for g, bm in zip(gens, transports)):
         return None
     try:
-        pieces = [block_pieces(tw, j, g) for g in tail_gens]
+        pieces = [block_pieces(tw, j, g) for g in gens[j:]]
     except NotInTail:
         return None
     local_images = {}

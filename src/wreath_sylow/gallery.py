@@ -60,18 +60,8 @@ def _qc_phi(u: QCUnit) -> QCUnit:
     return QCUnit(u.sign, u.axis if u.axis == 0 else u.axis % 3 + 1, u.w)
 
 
-_A_MOD9 = ((1, -3), (1, -2))
-
-
-def _mat_pow(s: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    m = ((1, 0), (0, 1))
-    for _ in range(s % 3):
-        a = _A_MOD9
-        m = (
-            ((a[0][0] * m[0][0] + a[0][1] * m[1][0]) % 9, (a[0][0] * m[0][1] + a[0][1] * m[1][1]) % 9),
-            ((a[1][0] * m[0][0] + a[1][1] * m[1][0]) % 9, (a[1][0] * m[0][1] + a[1][1] * m[1][1]) % 9),
-        )
-    return m
+# the twist matrix A = ((1, -3), (1, -2)) has order 3 mod 9: entry t is A**t
+_A_POWERS = (((1, 0), (0, 1)), ((1, 6), (1, 7)), ((7, 3), (8, 1)))
 
 
 @dataclass(frozen=True, order=True)
@@ -83,13 +73,13 @@ class Mod9Elem:
     t: int
 
     def __mul__(self, other: "Mod9Elem") -> "Mod9Elem":
-        m = _mat_pow(self.t)
+        m = _A_POWERS[self.t % 3]
         w1 = (self.v1 + m[0][0] * other.v1 + m[0][1] * other.v2) % 9
         w2 = (self.v2 + m[1][0] * other.v1 + m[1][1] * other.v2) % 9
         return Mod9Elem(w1, w2, (self.t + other.t) % 3)
 
     def inverse(self) -> "Mod9Elem":
-        m = _mat_pow(-self.t)
+        m = _A_POWERS[-self.t % 3]
         return Mod9Elem(
             (-(m[0][0] * self.v1 + m[0][1] * self.v2)) % 9,
             (-(m[1][0] * self.v1 + m[1][1] * self.v2)) % 9,

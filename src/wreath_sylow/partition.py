@@ -16,7 +16,8 @@ itself plus monomials of smaller weight.  Those of weight below p**k - r
 span an invariant subspace of codimension r: by uniseriality, term r.  The
 p**k monomials are a basis of all functions of the digits, so each term's
 monomials are already a basis of it, and partition_generators maps them to
-tower elements with no elimination.
+tower elements with no elimination: a chain vector is an exponent per
+level-k block, and ``tower.level_element`` adds it to digit k.
 
 Closed forms implemented here (cross-checked against the complement engine
 and the brute-force oracle in the test suite): with j the depth (smallest
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .perm import Perm
-from .tower import Tower
+from .tower import Tower, level_element
 
 
 @dataclass(frozen=True)
@@ -73,27 +74,12 @@ def chain_term_basis(tw: Tower, k: int, r: int) -> list[tuple[int, ...]]:
     ]
 
 
-def vector_to_element(tw: Tower, k: int, vec) -> Perm:
-    """Map an exponent vector over the level-k blocks to the tower element.
-
-    Coordinate b is the exponent of the conjugate of shift_gen(k) supported
-    on prefix block b.  These commute, and their product adds vec[b] to digit
-    k on the points of block b, so the element is built from the digits.
-    """
-    p, step = tw.p, tw.p ** (tw.n - 1 - k)
-    images = []
-    for a in range(tw.degree):
-        d = a // step % p
-        images.append(a + ((d + vec[a // (step * p)]) % p - d) * step)
-    return Perm(images)
-
-
 def partition_generators(tw: Tower, spec: PartitionSpec) -> list[Perm]:
     """Tower elements generating the partition subgroup of the spec."""
     if (spec.p, spec.n) != (tw.p, tw.n):
         raise ValueError("spec does not match the tower")
     return [
-        vector_to_element(tw, k, vec)
+        level_element(tw, k, vec)
         for k, i in enumerate(spec.indices)
         for vec in chain_term_basis(tw, k, i)
     ]

@@ -16,8 +16,8 @@ The structural layers computed here are used by the complement engine:
   an x is read as its *block pieces* (``block_pieces``), one local image
   tuple per block it moves, and a prefix shift carries blocks onto blocks
   rigidly (``block_transport``), so its conjugates only move the pieces.
-  The same block map gives the prefix shifts' coordinate permutations of
-  the tail vectors (``tail_coordinate_perms``);
+  The block maps are the height-j tower's shifts (``prefix_block_maps``),
+  and they permute the tail vectors' coordinates (``tail_coordinate_perms``);
 - the *portrait* of an element: its wreath coordinates as one flat table,
   row d holding the digit-d translation on each of the p**d d-prefixes;
   ``decompose`` finds it exactly for the tower's elements, and everything
@@ -31,17 +31,18 @@ The structural layers computed here are used by the complement engine:
   j+s in block b, and each level's slice of p**j entries is one summand of
   the natural block-permutation module.
 
-The digits give the other closed forms too: prefix conjugates are built
-one digit at a time (``block_conjugates``), and the chain of each level
-module is spanned by monomials in the block digits (Kaloujnine; see
-``partition``).
+The digits give the other closed forms too: shifts, co-shifts and partition
+generators are *level elements*, which add a function of the k-prefix block
+to digit k (``level_element``); prefix conjugates are built one digit at a
+time (``block_conjugates``), and the chain of each level module is spanned
+by monomials in the block digits (Kaloujnine; see ``partition``).
 
 The *scale* generators ``scale_gen(i)`` multiply digit i by ``tower.r``, the
 smallest primitive root mod p (every primitive root gives the same group);
 they normalize the tower and generate a Hall p'-subgroup of its normalizer
-of order ``(p-1)**n``.  The *co-shift* ``co_shift_gen(i)`` is the product of
-the nonidentity ``shift_gen(i-1)``-power conjugates of ``shift_gen(i)``: it
-adds 1 to digit i exactly where digits 0..i-2 vanish and digit i-1 does not.
+of order ``(p-1)**n``.  The *co-shift* ``co_shift_gen(i)``, the product of the
+nonidentity ``shift_gen(i-1)``-power conjugates of ``shift_gen(i)``, adds 1 to
+digit i on the i-prefix blocks 1..p-1: where digits 0..i-2 vanish and i-1 does not.
 """
 
 from __future__ import annotations
@@ -119,18 +120,28 @@ class Tower:
         return (self.p**m - 1) // (self.p - 1)
 
 
-def shift_gen(tower: Tower, i: int) -> Perm:
-    """Add 1 to digit i on the points whose digits 0..i-1 all vanish."""
-    if not 0 <= i <= tower.n - 1:
-        raise ValueError(f"level {i} out of range 0..{tower.n - 1}")
+def level_element(tower: Tower, k: int, vec: Sequence[int]) -> Perm:
+    """Add vec[b] to digit k on k-prefix block b, rotating it by vec[b] * p**(n-1-k); fix the rest."""
     p, n = tower.p, tower.n
-    step = p ** (n - 1 - i)  # weight of digit i
-    span = step * p  # one full block of digit-i values
-    images = list(range(tower.degree))
-    # points with zero 0..i-1 prefix form the initial run of length span
-    for a in range(span):
-        images[a] = (a + step) % span
-    return Perm(images)
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"level {k} out of range 0..{n - 1}")
+    if len(vec) > p**k:
+        raise ValueError(f"{len(vec)} entries for {p**k} blocks at level {k}")
+    step = p ** (n - 1 - k)  # weight of digit k
+    size = step * p
+    images: list[int] = []
+    for b, c in enumerate(vec):
+        lo = b * size
+        mid = lo + c % p * step
+        images += range(mid, lo + size)
+        images += range(lo, mid)
+    images += range(len(images), tower.degree)
+    return Perm._raw(tuple(images))
+
+
+def shift_gen(tower: Tower, i: int) -> Perm:
+    """Add 1 to digit i on the points whose digits 0..i-1 all vanish: block 0's level element."""
+    return level_element(tower, i, (1,))
 
 
 def scale_gen(tower: Tower, i: int) -> Perm:
@@ -147,18 +158,10 @@ def scale_gen(tower: Tower, i: int) -> Perm:
 
 
 def co_shift_gen(tower: Tower, i: int) -> Perm:
-    """Product of the nonidentity shift_gen(i-1)-power conjugates of shift_gen(i).
-
-    Equals the identity on digit-(i-1) = 0 blocks and a digit-i increment on
-    the rest of the zero 0..i-2 prefix region; defined for 1 <= i <= n-1.
-    """
+    """Add 1 to digit i on the i-prefix blocks 1..p-1; defined for 1 <= i <= n-1."""
     if not 1 <= i <= tower.n - 1:
         raise ValueError(f"level {i} out of range 1..{tower.n - 1}")
-    si, prev = shift_gen(tower, i), shift_gen(tower, i - 1)
-    out = Perm.identity(tower.degree)
-    for s in range(1, tower.p):
-        out = out * conjugate(si, prev**s)
-    return out
+    return level_element(tower, i, (0,) + (1,) * (tower.p - 1))
 
 
 def shift_gens(tower: Tower) -> list[Perm]:
@@ -339,6 +342,15 @@ def block_pieces(tower: Tower, j: int, x: Perm) -> dict[int, tuple[int, ...]]:
     return out
 
 
+def prefix_block_maps(tw: Tower, j: int) -> list[tuple[int, ...]]:
+    """The first j shift generators' maps of the j-prefix blocks.
+
+    The blocks are the points of the height-j tower, and shift_gen(i) moves
+    them as that tower's shift_gen(i) moves its points.
+    """
+    return [shift_gen(tower(tw.p, j), i).images for i in range(j)]
+
+
 def tail_coordinate_perms(tower: Tower, j: int) -> list[tuple[int, ...]]:
     """The first j shift generators as permutations of tail-vector coordinates.
 
@@ -346,11 +358,10 @@ def tail_coordinate_perms(tower: Tower, j: int) -> list[tuple[int, ...]]:
     of ``linalg.perm_action_matrix``.  A prefix shift moves the blocks
     rigidly, so it moves every level's slice by its block map.
     """
-    out = []
-    for i in range(j):
-        bm = block_transport(tower, j, shift_gen(tower, i))
-        out.append(tuple(s * len(bm) + t for s in range(tower.n - j) for t in bm))
-    return out
+    return [
+        tuple(s * len(bm) + t for s in range(tower.n - j) for t in bm)
+        for bm in prefix_block_maps(tower, j)
+    ]
 
 
 def point_action_matrices(tower: Tower) -> list[Matrix]:

@@ -10,7 +10,9 @@ form; brute-force groups (``normal_closure``, ``derived_subgroup_from_gens``,
 ``verify_complement_all_conjugates`` is the certificate before it read tail
 generators as block pieces: it builds every prefix conjugate of the tail
 part at full degree, takes each one's tail image, and multiplies the pairs
-whose supports meet.
+whose supports meet.  ``co_shift_by_conjugates`` is the co-shift as the
+product of conjugates that defines it, which ``tower.co_shift_gen`` builds
+from the digits instead.
 
 ``level_sums`` is the per-level block sum on a coordinate tuple, which
 ``uniserial.module_invariants`` reads off packed rows as lane sums.
@@ -29,13 +31,22 @@ import bisect
 from operator import methodcaller
 from typing import Iterable, Sequence
 
-from wreath_sylow import complements, oracle
+from wreath_sylow import oracle
 from wreath_sylow.complements import Certificate, complement_order_exponent
 from wreath_sylow.linalg import Matrix, Subspace, left_kernel
 from wreath_sylow.oracle import SEARCH_CAP, CapExceeded, GroupSet, _check_size, element_order
 from wreath_sylow.perm import Perm, conjugate
-from wreath_sylow.tower import NotInTail, NotInTower, block_conjugates, random_element, scale_gens, tail_image, tower
-from wreath_sylow.uniserial import STYLE_CO_SHIFT
+from wreath_sylow.tower import (
+    NotInTail,
+    NotInTower,
+    block_conjugates,
+    random_element,
+    scale_gens,
+    shift_gen,
+    shift_gens,
+    tail_image,
+    tower,
+)
 
 
 class ListEchelon:
@@ -144,6 +155,16 @@ def member(handle, x: Perm) -> bool:
     except NotInTail:
         return False
     return handle.image.contains(v)
+
+
+def co_shift_by_conjugates(tw, i: int) -> Perm:
+    """The co-shift by its definition: the product of the nonidentity
+    shift_gen(i-1)-power conjugates of shift_gen(i)."""
+    si, prev = shift_gen(tw, i), shift_gen(tw, i - 1)
+    out = Perm.identity(tw.degree)
+    for s in range(1, tw.p):
+        out = out * conjugate(si, prev**s)
+    return out
 
 
 def random_tail(tw, j: int, rng) -> Perm:
@@ -256,8 +277,8 @@ def normal_closure_order(gens: Sequence[Perm], ambient_gens: Sequence[Perm], cap
 def verify_complement_all_conjugates(handle, decision) -> Certificate:
     """The checks and numbers of ``verify_complement``, from all p**j conjugates.
 
-    The tail generators are looked up on ``complements`` at call time, so a
-    test that forges them there forges them here too.
+    It reads the decision's generators as the certificate does: gens[:j]
+    must equal the first j shift generators, and gens[j:] is the tail part.
     """
     if not decision.has_complement:
         raise ValueError("nothing to verify for a negative decision")
@@ -271,10 +292,7 @@ def verify_complement_all_conjugates(handle, decision) -> Certificate:
     numbers["closure_exponent"] = handle.order_exponent
     numbers["tower_exponent"] = tw.order_exponent()
 
-    if decision.style == STYLE_CO_SHIFT:
-        tail_gens = [complements.co_shift_gen(tw, i) for i in decision.levels]
-    else:
-        tail_gens = [complements.shift_gen(tw, j)]
+    tail_gens = decision.gens[j:]
     expected_rank = len(tail_gens) * tw.p**j
     conjs: list[Perm] = []
     for g in tail_gens:
@@ -283,7 +301,7 @@ def verify_complement_all_conjugates(handle, decision) -> Certificate:
         images = [tail_image(tw, j, d) for d in conjs]
     except (NotInTail, NotInTower):
         images = None
-    tail_ok = images is not None
+    tail_ok = images is not None and list(decision.gens[:j]) == shift_gens(tw)[:j]
     checks["tail_part_in_tail"] = tail_ok
     checks["tail_part_order_p"] = all(d.order() == tw.p for d in conjs)
     moved = [{a for a, y in enumerate(d.images) if a != y} for d in conjs]

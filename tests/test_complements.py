@@ -1,5 +1,6 @@
 import importlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -144,7 +145,7 @@ def test_verify_rejects_complement_meeting_the_closure():
     assert not cert.passed
 
 
-def test_verify_rejects_noncommuting_tail_part(monkeypatch):
+def test_verify_rejects_noncommuting_tail_part():
     # the prefix conjugates of s1 * (s2 ^ prefix_rep(1, 1)) overlap in the
     # blocks they share, and there they do not commute
     s1, s2 = ws.shift_gen(T33, 1), ws.shift_gen(T33, 2)
@@ -152,13 +153,12 @@ def test_verify_rejects_noncommuting_tail_part(monkeypatch):
     handle = ws.closure_handle(T33, [s1])
     decision = ws.decide(handle)
     assert decision.style == STYLE_CO_SHIFT and decision.levels == (2,)
-    monkeypatch.setattr(complements, "co_shift_gen", lambda tw, i: forged)
-    cert = ws.verify_complement(handle, decision)
+    cert = ws.verify_complement(handle, replace(decision, gens=decision.gens[:1] + (forged,)))
     assert cert.checks["tail_part_abelian"] is False
     assert not cert.passed
 
 
-def test_verify_rejects_tail_part_off_the_tail(monkeypatch):
+def test_verify_rejects_tail_part_off_the_tail():
     # s0 moves the level-1 blocks; the scale map stays in them but is off the
     # tower.  Either way the certificate fails its checks, and does not raise.
     handle = ws.closure_handle(T33, [ws.shift_gen(T33, 1)])
@@ -166,14 +166,35 @@ def test_verify_rejects_tail_part_off_the_tail(monkeypatch):
     assert decision.style == STYLE_CO_SHIFT and decision.levels == (2,)
     keys = list(ws.verify_complement(handle, decision).checks)
     for forged in (ws.shift_gen(T33, 0), ws.scale_gen(T33, 2)):
-        monkeypatch.setattr(complements, "co_shift_gen", lambda tw, i: forged)
-        cert = ws.verify_complement(handle, decision)
+        forged_decision = replace(decision, gens=decision.gens[:1] + (forged,))
+        cert = ws.verify_complement(handle, forged_decision)
         assert list(cert.checks) == keys
         assert cert.checks["tail_part_in_tail"] is False
         assert cert.checks["tail_part_rank"] is False
         assert cert.checks["meets_closure_trivially"] is False
         assert not cert.passed
-        assert decision_json(handle, decision)["checks"] == cert.checks
+        assert decision_json(handle, forged_decision)["checks"] == cert.checks
+
+
+def test_verify_reads_the_decision_generators():
+    # style and levels are genuine, the gens are not: the certificate judges
+    # the generators the decision carries, not the ones its shape names
+    s0 = ws.shift_gen(T33, 0)
+    r2 = ws.co_shift_gen(T33, 2)
+    handle = ws.closure_handle(T33, [ws.shift_gen(T33, 1)])
+    decision = ws.decide(handle)
+    assert decision.levels == (2,) and decision.gens == (s0, r2)
+    real = ws.verify_complement(handle, decision)
+    assert real.passed
+    keys = list(real.checks)
+    # a tail part off the tail, a prefix part that is not s0, and no prefix part
+    for gens in [(s0, s0), (s0**2, r2), (r2,)]:
+        forged = replace(decision, gens=gens)
+        cert = ws.verify_complement(handle, forged)
+        assert list(cert.checks) == keys
+        assert cert.checks["tail_part_in_tail"] is False, gens
+        assert not cert.passed, gens
+        assert not verify_complement_all_conjugates(handle, forged).passed, gens
 
 
 def test_closure_handle_decomposes_each_generator_once(monkeypatch):
@@ -412,8 +433,7 @@ def _forgeries(tw, j):
     return out
 
 
-def test_forged_tail_parts_match_all_conjugates(monkeypatch):
-    real = complements.co_shift_gen
+def test_forged_tail_parts_match_all_conjugates():
     for tw, j in [(T33, 1), (T34, 1), (T34, 2), (ws.tower(2, 4), 1), (ws.tower(2, 4), 2), (ws.tower(5, 3), 1)]:
         handle = ws.closure_handle(tw, [ws.shift_gen(tw, j)])
         decision = ws.decide(handle)
@@ -422,12 +442,9 @@ def test_forged_tail_parts_match_all_conjugates(monkeypatch):
             if label == "order p^2":
                 assert forged.order() == tw.p**2
             # forge the first tail generator only; the others stay genuine
-            first = decision.levels[0]
-            monkeypatch.setattr(
-                complements, "co_shift_gen", lambda t, i, f=forged: f if i == first else real(t, i)
-            )
-            cert = ws.verify_complement(handle, decision)
-            ref = verify_complement_all_conjugates(handle, decision)
+            forged_decision = replace(decision, gens=decision.gens[:j] + (forged,) + decision.gens[j + 1 :])
+            cert = ws.verify_complement(handle, forged_decision)
+            ref = verify_complement_all_conjugates(handle, forged_decision)
             key = (tw.p, tw.n, j, label)
             if ref.checks["tail_part_in_tail"]:
                 assert (cert.checks, cert.numbers) == (ref.checks, ref.numbers), key
@@ -440,7 +457,6 @@ def test_forged_tail_parts_match_all_conjugates(monkeypatch):
                 assert cert.checks["tail_part_abelian"] is False, key
             if label == "spread, commuting":
                 assert cert.checks["tail_part_abelian"] is True, key
-        monkeypatch.setattr(complements, "co_shift_gen", real)
 
 
 def test_verify_complement_builds_no_conjugates(monkeypatch):
@@ -467,11 +483,7 @@ def test_verify_complement_builds_no_conjugates(monkeypatch):
                 handle = ws.closure_handle(tw, _shaped_gens(tw, j, style, rng))
                 decision = ws.decide(handle)
                 assert decision.style == style
-                tail_gens = (
-                    [ws.co_shift_gen(tw, i) for i in decision.levels]
-                    if decision.style == STYLE_CO_SHIFT
-                    else [ws.shift_gen(tw, j)]
-                )
+                tail_gens = decision.gens[j:]
                 size = tw.p ** (tw.n - j)
                 pieces = {
                     tuple(y - c for y in g.images[c : c + size])

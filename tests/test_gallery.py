@@ -1,8 +1,8 @@
 from wreath_sylow.gallery import (
     Mod9Elem,
     QCUnit,
+    _A_POWERS,
     _is_automorphism,
-    _mat_pow,
     _mod9_alpha,
     _qc_phi,
     gallery_mod9,
@@ -50,8 +50,14 @@ def test_gallery_quaternion_central_report():
 
 
 def test_mod9_matrix_has_order_three():
-    assert _mat_pow(3) == ((1, 0), (0, 1))
-    assert _mat_pow(1) != ((1, 0), (0, 1))
+    def times_a(m):
+        a = ((1, -3), (1, -2))
+        return tuple(tuple(sum(a[r][k] * m[k][c] for k in range(2)) % 9 for c in range(2)) for r in range(2))
+
+    # the table holds A**0, A**1, A**2 mod 9, and A**3 is the identity again
+    assert _A_POWERS[0] == ((1, 0), (0, 1))
+    assert [times_a(m) for m in _A_POWERS] == [*_A_POWERS[1:], _A_POWERS[0]]
+    assert _A_POWERS[1] != ((1, 0), (0, 1))
 
 
 def test_mod9_inverse_and_order():

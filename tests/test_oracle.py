@@ -90,14 +90,14 @@ def test_center_of_3_3_via_base_fixed_space():
     # the centralizer of the base layer in the full symmetric group is the
     # base layer itself, so the center lives inside it as the fixed line
     from wreath_sylow.linalg import perm_action_matrix
-    from wreath_sylow.partition import vector_to_element
+    from wreath_sylow.tower import level_element
 
     tw = ws.tower(3, 3)
     # the prefix group acts on the 2-blocks as the height-2 tower
     mats = [perm_action_matrix(g.images, 3) for g in ws.shift_gens(ws.tower(3, 2))]
     fix = fixed_subspace(3, 9, mats)
     assert fix.rank == 1
-    z = vector_to_element(tw, 2, fix.rows[0])
+    z = level_element(tw, 2, fix.rows[0])
     assert all(z * g == g * z for g in ws.shift_gens(tw))
     assert element_order(z, Perm.identity(27)) == 3
 

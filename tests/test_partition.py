@@ -15,10 +15,9 @@ from wreath_sylow.partition import (
     partition_has_complement,
     partition_is_normal,
     tail_commutator_spec,
-    vector_to_element,
 )
 from wreath_sylow.perm import Perm, conjugate
-from wreath_sylow.tower import point_action_matrices, prefix_rep
+from wreath_sylow.tower import level_element, point_action_matrices, prefix_rep
 from wreath_sylow.uniserial import STYLE_CO_SHIFT
 
 T33 = ws.tower(3, 3)
@@ -64,7 +63,7 @@ def test_level_chain_matches_lower_central_series():
             assert _chain(tw, k) == reference, (p, n, k)
 
 
-def test_vector_to_element_is_the_product_of_block_conjugates():
+def test_level_element_is_the_product_of_block_conjugates():
     rng = random.Random(29)
     for p, n in [(2, 4), (3, 3), (5, 2)]:
         tw = ws.tower(p, n)
@@ -75,12 +74,18 @@ def test_vector_to_element_is_the_product_of_block_conjugates():
                 expected = Perm.identity(tw.degree)
                 for b, e in enumerate(vec):
                     expected = expected * conjugate(sk, prefix_rep(tw, k, b)) ** (e % p)
-                assert vector_to_element(tw, k, vec) == expected, (p, n, k, vec)
+                assert level_element(tw, k, vec) == expected, (p, n, k, vec)
+            # a shorter vector leaves the blocks past its end fixed
+            m = (p**k + 1) // 2
+            expected = Perm.identity(tw.degree)
+            for b, e in enumerate(vec[:m]):
+                expected = expected * conjugate(sk, prefix_rep(tw, k, b)) ** (e % p)
+            assert level_element(tw, k, vec[:m]) == expected, (p, n, k, m)
 
 
-def test_vector_to_element_round_trip():
+def test_level_element_round_trip():
     # an exponent vector maps to the product of block translations
-    el = vector_to_element(T33, 2, (1, 0, 0, 0, 2, 0, 0, 0, 0))
+    el = level_element(T33, 2, (1, 0, 0, 0, 2, 0, 0, 0, 0))
     assert ws.format_cycles(el) == "(0 1 2)(12 14 13)"
     v = ws.tail_image(T33, 2, el)
     assert v == (1, 0, 0, 0, 2, 0, 0, 0, 0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wreath_sylow as ws
-from reference import bfs_order, permute, random_tail
+from reference import bfs_order, co_shift_by_conjugates, permute, random_tail
 from wreath_sylow import oracle
 from wreath_sylow.perm import Perm, conjugate, format_cycles, parse_cycles
 from wreath_sylow.tower import (
@@ -14,7 +14,9 @@ from wreath_sylow.tower import (
     block_conjugates,
     block_pieces,
     block_transport,
+    level_element,
     point_action_matrices,
+    prefix_block_maps,
     prefix_rep,
     random_element,
     rotation_subgroup_gens,
@@ -95,6 +97,21 @@ def test_co_shift_printed_cycles():
     assert (r1**3).is_identity and (r2**3).is_identity
     with pytest.raises(ValueError):
         ws.co_shift_gen(T33, 0)
+
+
+def test_co_shift_is_the_product_of_conjugates():
+    for p, n in [(2, 5), (3, 4), (5, 3), (7, 3)]:
+        tw = ws.tower(p, n)
+        for i in range(1, n):
+            assert ws.co_shift_gen(tw, i) == co_shift_by_conjugates(tw, i), (p, n, i)
+
+
+def test_level_element_rejects_bad_input():
+    assert level_element(T33, 0, (1,)) == ws.shift_gen(T33, 0)
+    assert level_element(T33, 1, ()).is_identity
+    for k, vec in [(-1, (1,)), (3, (1,)), (1, (1, 1, 1, 1))]:
+        with pytest.raises(ValueError):
+            level_element(T33, k, vec)
 
 
 def test_base_translations_are_the_nine_cycles():
@@ -391,6 +408,18 @@ def test_point_action_matrices_shape():
     mats = point_action_matrices(ws.tower(2, 2))
     assert len(mats) == 2
     assert len(mats[0]) == 4
+
+
+def test_prefix_block_maps_are_the_block_transports_of_full_shifts():
+    # read off the height-j tower, the maps are those block_transport reads
+    # off the full-degree shifts, and they permute each level's slice
+    for p, n in [(2, 6), (3, 4), (5, 3)]:
+        tw = ws.tower(p, n)
+        for j in range(n + 1):
+            maps = [block_transport(tw, j, ws.shift_gen(tw, i)) for i in range(j)]
+            assert prefix_block_maps(tw, j) == maps, (p, n, j)
+            expected = [tuple(s * p**j + t for s in range(n - j) for t in bm) for bm in maps]
+            assert tail_coordinate_perms(tw, j) == expected, (p, n, j)
 
 
 def test_tail_coordinate_perms_level0():
