@@ -22,7 +22,7 @@ from .complements import (
 )
 from .linalg import Subspace, lower_central_series, spin
 from .partition import PartitionSpec, partition_generators, partition_has_complement, partition_is_normal
-from .perm import Perm, commutator, conjugate, format_cycles, parse_cycles
+from .perm import Perm, conjugate, format_cycles, parse_cycles
 from .tower import (
     Tower,
     base_translations,

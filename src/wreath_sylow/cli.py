@@ -6,10 +6,7 @@ centralizer), gallery (q8c4 | mod9), corpus.  Every command takes
 field) so identical inputs give byte-identical reports.  Exit codes:
 0 success, 1 a verification or expectation failed, 2 usage error.  Only
 p and n pick the tower: its r is the smallest primitive root mod p.
-
-Caps for the brute-force commands come from the environment when set:
-WREATH_SYLOW_BFS_CAP (element enumeration), WREATH_SYLOW_SEARCH_CAP
-(subgroup searches); each must be a positive integer.
+The brute-force commands run with the oracle's fixed caps.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import re
 import sys
@@ -36,23 +32,6 @@ from .tower import (
     tower,
 )
 from .words import generator_items, parse_generators
-
-
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def _bfs_cap() -> int:
-    return _env_cap("WREATH_SYLOW_BFS_CAP", oracle.BFS_CAP)
-
-
-def _search_cap() -> int:
-    return _env_cap("WREATH_SYLOW_SEARCH_CAP", oracle.SEARCH_CAP)
 
 
 def _emit(report: dict, fmt: str, text_lines) -> None:
@@ -171,18 +150,16 @@ def cmd_partition(args) -> int:
 
 
 def _crosscheck_small(tw) -> dict:
-    group = oracle.bfs_closure(shift_gens(tw), cap=_bfs_cap())
-    normals = oracle.all_normal_subgroups(group, cap=_search_cap())
+    group = oracle.bfs_closure(shift_gens(tw))
+    normals = oracle.all_normal_subgroups(group)
     rows = []
-    all_ok = True
     for sub in normals:
         handle = complements.closure_handle(tw, sub.sorted_elements())
         decision = complements.decide(handle)
-        oracle_has = oracle.has_complement(group, sub, cap=_search_cap())
+        oracle_has = oracle.has_complement(group, sub)
         ok = decision.has_complement == oracle_has
         if decision.has_complement:
             ok = ok and complements.verify_complement(handle, decision).passed
-        all_ok = all_ok and ok
         rows.append(
             {
                 "order_exponent": handle.order_exponent,
@@ -192,7 +169,7 @@ def _crosscheck_small(tw) -> dict:
                 "ok": ok,
             }
         )
-    return {"normal_subgroups": len(normals), "all_ok": all_ok, "rows": rows}
+    return {"normal_subgroups": len(normals), "all_ok": all(r["ok"] for r in rows), "rows": rows}
 
 
 def _crosscheck_random(tw, seed: int, trials: int) -> dict:
@@ -221,7 +198,7 @@ def cmd_oracle(args) -> int:
     if args.oracle_cmd == "crosscheck":
         if args.trials < 1:
             raise ValueError(f"--trials must be a positive integer, got {args.trials}")
-        if tw.p ** tw.order_exponent() <= _search_cap():
+        if tw.p ** tw.order_exponent() <= oracle.SEARCH_CAP:
             body = _crosscheck_small(tw)
             body["mode"] = "exhaustive"
         else:
@@ -240,11 +217,11 @@ def cmd_oracle(args) -> int:
         _emit(report, args.format, lines)
         return 0 if report["all_ok"] else 1
     if args.oracle_cmd == "abelian-max":
-        bfs_cap, cap, order = _bfs_cap(), _search_cap(), tw.p ** tw.order_exponent()
+        order, cap = tw.p ** tw.order_exponent(), oracle.SEARCH_CAP
         if order > cap:  # refuse before enumerating, as max_abelian_stats would after
             raise oracle.CapExceeded(f"group order {order} exceeds cap {cap}")
-        group = oracle.bfs_closure(shift_gens(tw), cap=bfs_cap)
-        exponent, count = oracle.max_abelian_stats(group, tw.p, cap=cap)
+        group = oracle.bfs_closure(shift_gens(tw))
+        exponent, count = oracle.max_abelian_stats(group, tw.p)
         report = {
             "schema": 1,
             "p": tw.p,
@@ -262,10 +239,9 @@ def cmd_oracle(args) -> int:
         )
         return 0
     # centralizer: the scans refuse a large degree before anything is enumerated
-    cz_base = oracle.centralizer_in_sym(base_translations(tw), tw.degree)
-    cz_tower = oracle.centralizer_in_sym(shift_gens(tw), tw.degree)
-    base_group = oracle.bfs_closure(base_translations(tw), cap=_bfs_cap())
-    tower_set = oracle.bfs_closure(shift_gens(tw), cap=_bfs_cap())
+    families = (base_translations(tw), shift_gens(tw))
+    cz_base, cz_tower = (oracle.centralizer_in_sym(gens, tw.degree) for gens in families)
+    base_group, tower_set = (oracle.bfs_closure(gens) for gens in families)
     report = {
         "schema": 1,
         "p": tw.p,

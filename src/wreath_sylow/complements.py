@@ -24,7 +24,7 @@ every question about N to small exact linear algebra:
     j+1 tower.
 
 verify_complement certifies from scratch the generators that a positive
-decision returned, blind to its shape: the first j must be the prefix
+decision returned, blind to its shape: the first j must equal the prefix
 shifts, and the rest are the tail part.  It checks the order equation,
 trivial intersection (via ranks of the tail part's prefix conjugates' tail
 images, their order, and commutation where they meet), and the scaling
@@ -47,12 +47,10 @@ from .tower import (
     NotInTower,
     Tower,
     block_pieces,
-    block_transport,
     co_shift_gen,
     decompose,
     portrait_depth,
     portrait_tail_image,
-    prefix_block_maps,
     scale_gens,
     shift_gen,
     shift_gens,
@@ -178,9 +176,9 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     the generator or its r-th power.
 
     The conjugates in (ii) are never built.  A tail generator is read as
-    its block pieces, and each prefix generator is checked once to move
-    blocks rigidly by its shift's block map, so a conjugate is the same
-    pieces on the blocks that the prefix representative's block map gives.
+    its block pieces, and the prefix generators, once checked equal to the
+    shifts, move the blocks rigidly, so a conjugate is the same pieces on
+    the blocks that the prefix representative's block map gives.
     A conjugate has the order of the element conjugated; its tail image is
     its pieces' local images in those columns; and two conjugates commute
     exactly when the pieces they put on a common block do.  A wrong prefix
@@ -218,13 +216,11 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     numbers["tail_part_rank"] = span.rank
 
     # at p = 2, r = 1 and every scale generator is the identity
-    ok = True
-    for eta in scale_gens(tw) if tw.p > 2 else ():
-        for g in decision.gens:
-            cg = conjugate(g, eta)
-            if cg != g and cg != g**tw.r:
-                ok = False
-    checks["scale_invariance"] = ok
+    checks["scale_invariance"] = all(
+        (cg := conjugate(g, eta)) == g or cg == g**tw.r
+        for eta in (scale_gens(tw) if tw.p > 2 else ())
+        for g in decision.gens
+    )
     return Certificate(checks, numbers)
 
 
@@ -233,15 +229,14 @@ def _conjugate_images(
 ) -> Optional[tuple[Iterator[int], bool]]:
     """Packed tail images of the tail part's prefix conjugates, and whether they commute.
 
-    A rigid block mover is determined by its block map, so the first j
-    generators are the prefix shifts exactly when their maps are
-    ``prefix_block_maps``.  The conjugates of the rest come in
-    ``block_conjugates`` order, read off the block pieces.  None when the
-    prefix part is wrong, or when a tail generator is off the tail.
+    The first j generators must be the prefix shifts, which move the blocks
+    rigidly; their block maps are read off one point per block.  The
+    conjugates of the rest come in ``block_conjugates`` order, read off the
+    block pieces.  None when the prefix part is wrong, or when a tail
+    generator is off the tail.
     """
-    p, blocks = tw.p, tw.p**j
-    transports = prefix_block_maps(tw, j)
-    if len(gens) < j or any(block_transport(tw, j, g) != bm for g, bm in zip(gens, transports)):
+    p, blocks, size = tw.p, tw.p**j, tw.p ** (tw.n - j)
+    if list(gens[:j]) != [shift_gen(tw, i) for i in range(j)]:
         return None
     try:
         pieces = [block_pieces(tw, j, g) for g in gens[j:]]
@@ -258,7 +253,8 @@ def _conjugate_images(
     # landings(c)[b] is where prefix_rep(j, b) takes block c: the rep applies
     # shift i to the power of digit i of b, the last digit first
     powers = []
-    for bm in transports:
+    for g in gens[:j]:
+        bm = [t // size for t in g.images[::size]]
         pw = [tuple(range(blocks))]
         for _ in range(1, p):
             pw.append(tuple(bm[t] for t in pw[-1]))
@@ -336,7 +332,7 @@ def decision_json(handle: NormalClosure, decision: Decision) -> dict:
     }
     if decision.has_complement:
         cert = verify_complement(handle, decision)
-        out["orders"]["C"] = complement_order_exponent(handle, decision)
+        out["orders"]["C"] = cert.numbers["complement_exponent"]
         out["checks"] = dict(cert.checks)
     else:
         out["checks"] = {"witness": decision.data}

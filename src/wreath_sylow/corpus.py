@@ -16,7 +16,6 @@ from .complements import (
     REASON_NOT_SUMMAND,
     REASON_SOCLE_GAP,
     closure_handle,
-    complement_order_exponent,
     decide,
     scale_orbit,
     verify_complement,
@@ -102,7 +101,7 @@ def run_decision_case(case: DecisionCase) -> dict:
         ok = ok and cert.passed
         detail["certificate"] = dict(cert.checks)
         if case.expect_complement_exponent is not None:
-            ok = ok and complement_order_exponent(handle, decision) == case.expect_complement_exponent
+            ok = ok and cert.numbers["complement_exponent"] == case.expect_complement_exponent
     return {"name": case.name, "ok": ok, "detail": detail}
 
 

@@ -291,13 +291,6 @@ def kernel_packed(p: int, width: int, rows: Sequence[int]) -> list[int]:
     return kernel
 
 
-def left_kernel(rows: Sequence[Sequence[int]], p: int, width: int) -> list[tuple[int, ...]]:
-    """Basis of the combinations c with sum c_i * rows[i] = 0 (see kernel_packed)."""
-    lay = layout(p, width)
-    combos = kernel_packed(p, width, [lay.pack(r) for r in rows])
-    return [layout(p, len(rows)).unpack(c) for c in combos]
-
-
 def spin(
     p: int, dim: int, seeds: Iterable[Sequence[int]], perms: Sequence[Sequence[int]]
 ) -> Subspace:

@@ -43,10 +43,6 @@ class Perm:
     def degree(self) -> int:
         return len(self.images)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(i == x for x, i in enumerate(self.images))
-
     def __call__(self, x: int) -> int:
         return self.images[x]
 
@@ -119,11 +115,6 @@ def conjugate(x: Perm, g: Perm) -> Perm:
     for i, xi in enumerate(x.images):
         out[gi[i]] = gi[xi]
     return Perm._raw(tuple(out))
-
-
-def commutator(a: Perm, b: Perm) -> Perm:
-    """a * b * a**-1 * b**-1."""
-    return (a * b) * (b * a).inverse()
 
 
 _CYCLES_RE = re.compile(r"(?:\(\s*\d+(?:[\s,]+\d+)*\s*\))+")

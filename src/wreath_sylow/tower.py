@@ -15,9 +15,9 @@ The structural layers computed here are used by the complement engine:
   descend from the whole group at j=0 to the trivial group at j=n).  Such
   an x is read as its *block pieces* (``block_pieces``), one local image
   tuple per block it moves, and a prefix shift carries blocks onto blocks
-  rigidly (``block_transport``), so its conjugates only move the pieces.
-  The block maps are the height-j tower's shifts (``prefix_block_maps``),
-  and they permute the tail vectors' coordinates (``tail_coordinate_perms``);
+  rigidly, so its conjugates only move the pieces.  The block maps are the
+  height-j tower's shifts, and they permute the tail vectors' coordinates
+  (``tail_coordinate_perms``);
 - the *portrait* of an element: its wreath coordinates as one flat table,
   row d holding the digit-d translation on each of the p**d d-prefixes;
   ``decompose`` finds it exactly for the tower's elements, and everything
@@ -279,18 +279,11 @@ def tail_image(tower: Tower, j: int, x: Perm) -> tuple[int, ...]:
     """Coordinates of x in the abelianized level-j tail (level-major, see above).
 
     Requires x to be a tower element fixing all j-prefixes: NotInTail is
-    raised first, naming the first block moved, then NotInTower.
+    raised first, then NotInTower.
     """
-    p, n = tower.p, tower.n
-    if not 0 <= j <= n:
-        raise ValueError(f"tail level {j} out of range")
-    if x.degree != tower.degree:
-        raise ValueError(f"degree mismatch: {x.degree} vs {tower.degree}")
-    size = p ** (n - j)
-    for a, y in enumerate(x.images):
-        if y // size != a // size:
-            raise NotInTail(f"moves block {a // size} (level {j})")
-    return portrait_tail_image(tower, j, decompose(x, p))
+    if not in_tail(tower, j, x):
+        raise NotInTail(f"moves a block (level {j})")
+    return portrait_tail_image(tower, j, decompose(x, tower.p))
 
 
 def portrait_tail_image(tower: Tower, j: int, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -303,24 +296,6 @@ def portrait_tail_image(tower: Tower, j: int, rows: Sequence[Sequence[int]]) -> 
     return tuple(
         sum(rows[j + s][b * p**s : (b + 1) * p**s]) % p for s in range(tower.n - j) for b in range(p**j)
     )
-
-
-def block_transport(tower: Tower, j: int, g: Perm) -> Optional[tuple[int, ...]]:
-    """The block map of g if g moves each j-prefix block rigidly; else None.
-
-    Rigidly means onto a block with every point's offset in its block kept,
-    as a prefix shift does: it changes only a digit before j.  Conjugating
-    by such a g then moves a tail element's pieces (see block_pieces) to
-    the image blocks unchanged.
-    """
-    size = tower.p ** (tower.n - j)
-    out = []
-    for b in range(0, tower.degree, size):
-        t = g.images[b]
-        if t % size or g.images[b : b + size] != tuple(range(t, t + size)):
-            return None
-        out.append(t // size)
-    return tuple(out)
 
 
 def block_pieces(tower: Tower, j: int, x: Perm) -> dict[int, tuple[int, ...]]:
@@ -342,26 +317,20 @@ def block_pieces(tower: Tower, j: int, x: Perm) -> dict[int, tuple[int, ...]]:
     return out
 
 
-def prefix_block_maps(tw: Tower, j: int) -> list[tuple[int, ...]]:
-    """The first j shift generators' maps of the j-prefix blocks.
-
-    The blocks are the points of the height-j tower, and shift_gen(i) moves
-    them as that tower's shift_gen(i) moves its points.
-    """
-    return [shift_gen(tower(tw.p, j), i).images for i in range(j)]
-
-
-def tail_coordinate_perms(tower: Tower, j: int) -> list[tuple[int, ...]]:
+def tail_coordinate_perms(tw: Tower, j: int) -> list[tuple[int, ...]]:
     """The first j shift generators as permutations of tail-vector coordinates.
 
     Entry k is the coordinate that basis vector k moves to, the convention
     of ``linalg.perm_action_matrix``.  A prefix shift moves the blocks
-    rigidly, so it moves every level's slice by its block map.
+    rigidly, so it moves every level's slice by its block map.  The j-prefix
+    blocks are the points of the height-j tower, and shift_gen(i) moves them
+    as that tower's shift_gen(i) moves its points.
     """
-    return [
-        tuple(s * len(bm) + t for s in range(tower.n - j) for t in bm)
-        for bm in prefix_block_maps(tower, j)
-    ]
+    if j == 0:  # no prefix shifts, and no tower of height 0
+        return []
+    top = tower(tw.p, j)
+    maps = (shift_gen(top, i).images for i in range(j))
+    return [tuple(s * top.degree + t for s in range(tw.n - j) for t in bm) for bm in maps]
 
 
 def point_action_matrices(tower: Tower) -> list[Matrix]:

@@ -19,7 +19,12 @@ from the digits instead.
 
 ``ListEchelon`` and ``permute`` are the list-row F_p kernel before rows
 were packed into ints: ``span_rows``, ``left_kernel_rows`` and ``spin_rows``
-give the canonical basis tuples that ``linalg`` must match.
+give the canonical basis tuples that ``linalg`` must match.  ``left_kernel``
+is ``linalg.kernel_packed`` on tuple rows, for the dense solves above.
+
+``block_transport`` reads the block map of a rigid block mover off every
+point, the check the certificate made of its prefix part before it compared
+that part with the shifts; ``commutator`` is the group commutator.
 
 ``complements_by_extension`` is the oracle's complement search before it
 lifted the group's generators over the cosets of N: it tries every element
@@ -29,16 +34,17 @@ the subgroups already reached.
 
 import bisect
 from operator import methodcaller
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from wreath_sylow import oracle
 from wreath_sylow.complements import Certificate, complement_order_exponent
-from wreath_sylow.linalg import Matrix, Subspace, left_kernel
+from wreath_sylow.linalg import Matrix, Subspace, kernel_packed, layout
 from wreath_sylow.oracle import SEARCH_CAP, CapExceeded, GroupSet, _check_size, element_order
 from wreath_sylow.perm import Perm, conjugate
 from wreath_sylow.tower import (
     NotInTail,
     NotInTower,
+    Tower,
     block_conjugates,
     random_element,
     scale_gens,
@@ -119,6 +125,13 @@ def left_kernel_rows(rows: Sequence[Sequence[int]], p: int, width: int) -> list[
     return kernel
 
 
+def left_kernel(rows: Sequence[Sequence[int]], p: int, width: int) -> list[tuple[int, ...]]:
+    """Basis of the combinations c with sum c_i * rows[i] = 0 (see kernel_packed)."""
+    lay = layout(p, width)
+    combos = kernel_packed(p, width, [lay.pack(r) for r in rows])
+    return [layout(p, len(rows)).unpack(c) for c in combos]
+
+
 def permute(v: Sequence[int], point_map: Sequence[int]) -> tuple[int, ...]:
     """v with coordinate k moved to point_map[k]; apply_map of perm_action_matrix in O(dim)."""
     out = [0] * len(v)
@@ -155,6 +168,27 @@ def member(handle, x: Perm) -> bool:
     except NotInTail:
         return False
     return handle.image.contains(v)
+
+
+def commutator(a: Perm, b: Perm) -> Perm:
+    """a * b * a**-1 * b**-1."""
+    return (a * b) * (b * a).inverse()
+
+
+def block_transport(tower: Tower, j: int, g: Perm) -> Optional[tuple[int, ...]]:
+    """The block map of g if g moves each j-prefix block rigidly; else None.
+
+    Rigidly means onto a block with every point's offset in its block kept,
+    as a prefix shift does: it changes only a digit before j.
+    """
+    size = tower.p ** (tower.n - j)
+    out = []
+    for b in range(0, tower.degree, size):
+        t = g.images[b]
+        if t % size or g.images[b : b + size] != tuple(range(t, t + size)):
+            return None
+        out.append(t // size)
+    return tuple(out)
 
 
 def co_shift_by_conjugates(tw, i: int) -> Perm:

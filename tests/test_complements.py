@@ -6,6 +6,7 @@ import pytest
 
 import wreath_sylow as ws
 from reference import (
+    commutator,
     member,
     normal_closure,
     normal_closure_order,
@@ -74,7 +75,7 @@ def test_member_examples():
     rng = random.Random(0)
     for _ in range(5):
         x, y = (random_tail(T33, 1, rng) for _ in range(2))
-        assert member(handle, ws.commutator(x, y))
+        assert member(handle, commutator(x, y))
 
 
 def test_decide_shift0_gets_co_shift_complement():

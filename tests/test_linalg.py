@@ -9,6 +9,7 @@ from reference import (
     augmentation_subspace,
     fixed_subspace,
     intersect,
+    left_kernel,
     left_kernel_rows,
     span_rows,
     spin_rows,
@@ -17,7 +18,6 @@ from wreath_sylow.linalg import (
     Layout,
     Subspace,
     apply_map,
-    left_kernel,
     lower_central_series,
     perm_action_matrix,
     spin,

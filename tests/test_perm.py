@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import commutator
 from wreath_sylow.perm import (
     Perm,
-    commutator,
     conjugate,
     format_cycles,
     parse_cycles,
