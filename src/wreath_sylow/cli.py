@@ -272,7 +272,7 @@ def cmd_gallery(args) -> int:
                 yield f"{key}: {rep[key]}"
 
     _emit(report, args.format, lines)
-    return 0
+    return 0 if all(report[key] for key in gallery.SELF_CHECKS if key in report) else 1
 
 
 def cmd_corpus(args) -> int:

@@ -14,13 +14,28 @@ across the complement list to read off its orbit structure.
 - mod9 affine group: (Z/9 x Z/9) twisted by an order 3 matrix, order 3^5.
   Negation of the translation part is an order 2 automorphism fixing a
   normal subgroup of order 3^4 whose 54 complements it pairs off freely.
+
+The elements of both groups are named tuples of their coordinates, so a
+product is one ``tuple.__new__``; equality, hashing and ordering are those
+of the field tuple.  An element therefore equals the plain tuple with the
+same fields, which no group here mixes in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .oracle import GroupSet, bfs_closure, exhaustive_complements, is_normal_under
+
+# the report keys that check the construction; maschke_property_holds: false
+# is the finding, not a failure
+SELF_CHECKS = (
+    "normal_is_normal",
+    "normal_invariant",
+    "automorphism_ok",
+    "twist_elements_order3",  # mod9 only
+    "alpha_permutes_complements",  # mod9 only
+)
 
 # axis multiplication for units 1, i, j, k: (axis, axis) -> (sign, axis)
 _QMUL = {
@@ -32,8 +47,7 @@ _QMUL = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class QCUnit:
+class QCUnit(NamedTuple):
     """sign * axis * x^w with axis in {1, i, j, k} and the central x, x^2 = -1."""
 
     sign: int  # 0 for +, 1 for -
@@ -64,8 +78,7 @@ def _qc_phi(u: QCUnit) -> QCUnit:
 _A_POWERS = (((1, 0), (0, 1)), ((1, 6), (1, 7)), ((7, 3), (8, 1)))
 
 
-@dataclass(frozen=True, order=True)
-class Mod9Elem:
+class Mod9Elem(NamedTuple):
     """(v, t): translation v in (Z/9)^2 and twist t in Z/3 acting by the matrix."""
 
     v1: int

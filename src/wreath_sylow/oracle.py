@@ -22,11 +22,18 @@ Two pieces carry all of it:
   stored as a compact ``array``.  The subgroup searches work on these
   numbers and dedupe subgroups as int bitmasks; containment and meeting a
   normal subgroup are int operations.
+
+The abelian-subgroup search reads each element's centralizer off the
+columns as one such mask, intersects them along its depth-first path, and
+drops each tried coset current * g from its candidates, since every element
+of that coset closes to the same join.  The normal-subgroup search likewise
+closes each union of a subgroup and an atom only once.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,9 +154,8 @@ def element_order(g, identity) -> int:
 
 
 def is_normal_under(sub: GroupSet, ambient_gens: Sequence) -> bool:
-    return all(
-        a * x * a.inverse() in sub.elements for x in sub.elements for a in ambient_gens
-    )
+    conj = [(a, a.inverse()) for a in ambient_gens]
+    return all(a * x * a_inv in sub.elements for x in sub.elements for a, a_inv in conj)
 
 
 def _commutators_with(group: GroupSet, sub) -> GroupSet:
@@ -194,13 +200,16 @@ def all_normal_subgroups(group: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSe
         members = ix.closure([ix.e], orbit, group.order)
         atoms.setdefault(ix.mask(members), (members, tuple(orbit)))
     found = {1 << ix.e: ({ix.e}, ()), **atoms}
+    closed: set[int] = set()  # unions cur_mask | a_mask already closed
     queue = list(found.items())
     while queue:
         cur_mask, (cur, cur_gens) = queue.pop()
         for a_mask, (_, a_gens) in atoms.items():
-            if a_mask & ~cur_mask == 0:
+            union = cur_mask | a_mask
+            if union == cur_mask or union in closed:
                 continue
-            # cur is normal, so the join is cur times <a>
+            closed.add(union)
+            # cur is normal, so the join is cur times <a>, generated by the union
             join = ix.closure(cur, a_gens, group.order)
             mask = ix.mask(join)
             if mask not in found:
@@ -291,28 +300,42 @@ def all_abelian_subgroups(group: GroupSet, cap: int = SEARCH_CAP) -> list[GroupS
 
     Depth-first growth of commuting sets with canonical-set memoization;
     every abelian subgroup arises by adding one centralizing generator at a
-    time, so the sweep is exhaustive.
+    time, so the sweep is exhaustive.  Each element's centralizer is read
+    off the index columns once, as an int mask (h commutes with g iff
+    col(g)[h] == col(h)[g]); a subgroup's centralizer is the AND of its
+    gens' masks, so the candidates for the next generator are the set bits
+    of ``centralizer & ~members``, lowest first.  After g is tried the whole
+    coset current * g leaves the candidates: each of its elements gives the
+    same join current * <g>, which the search has then already recorded.
     """
     _check_size(group, cap)
     ix = group._index
+    size = range(len(ix.elems))
+    cols = [ix.col(h) for h in size]
+    # cols[h][g] is g * h: one row at a time, so no |G|^2 table is built
+    cent = [
+        ix.mask(
+            itertools.compress(
+                size, map(operator.eq, cols[g], map(operator.getitem, cols, itertools.repeat(g)))
+            )
+        )
+        for g in size
+    ]
     found = {1 << ix.e: ({ix.e}, ())}  # mask -> (members, gens)
 
-    def extend(current: set, mask: int, gens: tuple):
-        for g in range(len(ix.elems)):
-            if mask >> g & 1:
-                continue
-            # commuting with the generators of an abelian group is enough
-            col = ix.col(g)
-            if any(ix.col(h)[g] != col[h] for h in gens):
-                continue
+    def extend(current: set, mask: int, gens: tuple, centralizer: int):
+        candidates = centralizer & ~mask
+        while candidates:
+            g = (candidates & -candidates).bit_length() - 1
+            candidates &= ~ix.mask(map(ix.col(g).__getitem__, current))
             grown = ix.closure(current, (g,), group.order)  # current times <g>
             grown_mask = ix.mask(grown)
             if grown_mask in found:
                 continue
             found[grown_mask] = (grown, gens + (g,))
-            extend(grown, grown_mask, gens + (g,))
+            extend(grown, grown_mask, gens + (g,), centralizer & cent[g])
 
-    extend({ix.e}, 1 << ix.e, ())
+    extend({ix.e}, 1 << ix.e, (), (1 << len(ix.elems)) - 1)
     return ix.sorted_subgroups(found.values())
 
 

@@ -29,7 +29,6 @@ i_k is 0 or p**j.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .perm import Perm
@@ -67,11 +66,17 @@ def chain_term_basis(tw: Tower, k: int, r: int) -> list[tuple[int, ...]]:
     p, dim = tw.p, tw.p**k
     if not 0 <= r <= dim:
         raise ValueError(f"chain index {r} out of range 0..{dim}")
-    digits = [[b // p ** (k - 1 - i) % p for i in range(k)] for b in range(dim)]
-    return [
-        tuple(math.prod(pow(d[i], w // p**i % p, p) for i in range(k)) % p for d in digits)
-        for w in range(dim - r)
-    ]
+    # a monomial's vector is the Kronecker product, block digit 0 (most
+    # significant) first, of the rows d**a for its exponent digits a
+    powers = [[d**a % p for d in range(p)] for a in range(p)]
+    basis = []
+    for w in range(dim - r):
+        vec = [1]
+        for i in range(k):
+            row = powers[w // p**i % p]
+            vec = [x * y % p for x in vec for y in row]
+        basis.append(tuple(vec))
+    return basis
 
 
 def partition_generators(tw: Tower, spec: PartitionSpec) -> list[Perm]:

@@ -29,7 +29,9 @@ that part with the shifts; ``commutator`` is the group commutator.
 ``complements_by_extension`` is the oracle's complement search before it
 lifted the group's generators over the cosets of N: it tries every element
 outside N and the current subgroup as the next generator, with a memo of
-the subgroups already reached.
+the subgroups already reached.  ``abelian_subgroups_by_scan`` is the
+abelian-subgroup search before it read centralizers off int masks: it
+tests every element against the current gens and closes each join anew.
 """
 
 import bisect
@@ -419,3 +421,31 @@ def complements_by_extension(
 
 class _FoundOne(Exception):
     pass
+
+
+def abelian_subgroups_by_scan(group: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSet]:
+    """Every abelian subgroup, by order and then by elements, with gens as found.
+
+    Depth-first: each element outside the current subgroup that commutes
+    with its gens is closed into a join, and new joins are grown further.
+    """
+    _check_size(group, cap)
+    ix = group._index
+    found = {1 << ix.e: ({ix.e}, ())}  # mask -> (members, gens)
+
+    def extend(current: set, mask: int, gens: tuple):
+        for g in range(len(ix.elems)):
+            if mask >> g & 1:
+                continue
+            col = ix.col(g)
+            if any(ix.col(h)[g] != col[h] for h in gens):
+                continue
+            grown = ix.closure(current, (g,), group.order)
+            grown_mask = ix.mask(grown)
+            if grown_mask in found:
+                continue
+            found[grown_mask] = (grown, gens + (g,))
+            extend(grown, grown_mask, gens + (g,))
+
+    extend({ix.e}, 1 << ix.e, ())
+    return ix.sorted_subgroups(found.values())

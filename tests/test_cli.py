@@ -5,7 +5,7 @@ import time
 import pytest
 
 import wreath_sylow as ws
-from wreath_sylow import cli, oracle
+from wreath_sylow import cli, gallery, oracle
 from wreath_sylow.cli import main
 from wreath_sylow.perm import Perm, conjugate, format_cycles
 from wreath_sylow.tower import DEGREE_CAP
@@ -176,6 +176,23 @@ def test_cli_gallery(capsys):
     code, out = run_cli(capsys, "gallery", "mod9", "--format", "json")
     assert code == 0
     assert json.loads(out)["complement_count"] == 54
+
+
+@pytest.mark.parametrize(
+    "which, builder", [("q8c4", "gallery_quaternion_central"), ("mod9", "gallery_mod9")]
+)
+def test_cli_gallery_exits_1_on_a_failed_self_check(capsys, monkeypatch, which, builder):
+    report = getattr(gallery, builder)()
+    checks = [key for key in gallery.SELF_CHECKS if key in report]
+    assert len(checks) == (3 if which == "q8c4" else 5)
+    for key in checks:
+        monkeypatch.setattr(gallery, builder, lambda key=key: {**report, key: False})
+        code, out = run_cli(capsys, "gallery", which, "--format", "json")
+        assert code == 1 and json.loads(out)[key] is False
+    # the missing invariant complement is the finding, not a failed check
+    monkeypatch.setattr(gallery, builder, lambda: report)
+    assert not report["maschke_property_holds"]
+    assert run_cli(capsys, "gallery", which)[0] == 0
 
 
 def test_cli_corpus(capsys):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 from wreath_sylow.gallery import (
     Mod9Elem,
     QCUnit,
@@ -114,3 +117,16 @@ def test_is_automorphism_rejects_a_non_homomorphic_bijection():
     swap = {a: b, b: a}
     assert _is_automorphism(group, _mod9_alpha)
     assert not _is_automorphism(group, lambda g: swap.get(g, g))
+
+
+def test_gallery_elements_compare_as_their_field_tuples():
+    # equality, hashing and ordering are the field tuple's, so set iteration
+    # and sorting, and with them both reports, follow the fields
+    for cls, ranges in ((QCUnit, (2, 4, 2)), (Mod9Elem, (9, 9, 3))):
+        fields = list(itertools.product(*map(range, ranges)))
+        random.Random(0).shuffle(fields)
+        elems = [cls(*f) for f in fields]
+        assert [tuple(x) for x in sorted(elems)] == sorted(fields)
+        assert [hash(x) for x in elems] == [hash(f) for f in fields]
+        assert all(x == cls(*f) and x == f for x, f in zip(elems, fields))
+        assert len(set(elems)) == len(fields)

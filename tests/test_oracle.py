@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import wreath_sylow as ws
@@ -17,6 +19,7 @@ from wreath_sylow.oracle import (
     max_abelian_stats,
 )
 from reference import (
+    abelian_subgroups_by_scan,
     bfs_order,
     center,
     complements_by_extension,
@@ -107,6 +110,22 @@ def test_all_normal_subgroups_dihedral():
     normals = all_normal_subgroups(group)
     assert [s.order for s in normals] == [1, 2, 4, 4, 4, 8]
     assert all(is_normal_under(s, group.gens) for s in normals)
+
+
+def _subgroups_digest(subgroups):
+    rows = [([x.images for x in s.sorted_elements()], [g.images for g in s.gens]) for s in subgroups]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_all_normal_subgroups_are_pinned(enumerated):
+    # sha256 of the (sorted elements, gens) list: skipping joins already closed
+    # must leave the subgroups and the gens each one was first reached with
+    pinned = {
+        (2, 3): "7f10db8760095a50ac3b37b384b63930de7da5a1401c217c47db6b234fbe0c8f",
+        (3, 2): "20af10a684e2155297e3fc5fa1b6dafff0817c46250d22191c9d1cdd77b37832",
+    }
+    for key, digest in pinned.items():
+        assert _subgroups_digest(enumerated[key]["normals"]) == digest, key
 
 
 def test_all_normal_subgroups_are_normal(enumerated):
@@ -325,6 +344,14 @@ def test_max_abelian_stats_small():
     t22 = ws.tower(2, 2)
     group = bfs_closure(ws.shift_gens(t22))
     assert max_abelian_stats(group, 2) == (2, 3)
+
+
+def test_centralizer_mask_search_matches_the_scan(enumerated):
+    # same subgroups, same gens, same order as testing every element at every step
+    groups = [d["group"] for d in enumerated.values()]
+    groups += [group for group, _ in _gallery_pairs()]
+    for group in groups:
+        assert all_abelian_subgroups(group) == abelian_subgroups_by_scan(group)
 
 
 def test_all_abelian_subgroups_of_order():
