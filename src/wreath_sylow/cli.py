@@ -154,7 +154,8 @@ def _crosscheck_small(tw) -> dict:
     normals = oracle.all_normal_subgroups(group)
     rows = []
     for sub in normals:
-        handle = complements.closure_handle(tw, sub.sorted_elements())
+        # sub is the normal closure of its gens, so they give the same handle
+        handle = complements.closure_handle(tw, sub.gens)
         decision = complements.decide(handle)
         oracle_has = oracle.has_complement(group, sub)
         ok = decision.has_complement == oracle_has

@@ -25,14 +25,14 @@ every question about N to small exact linear algebra:
 
 verify_complement certifies from scratch the generators that a positive
 decision returned, blind to its shape: the first j must equal the prefix
-shifts, and the rest are the tail part.  It checks the order equation,
-trivial intersection (via ranks of the tail part's prefix conjugates' tail
-images, their order, and commutation where they meet), and the scaling
-identities.  The conjugates are not built: the level-j tail is the direct
-product of p**j height-(n-j) towers, a prefix shift moves the blocks
-rigidly, so a conjugate of a tail generator is the generator's block pieces
-moved to other blocks.  Each distinct piece is decomposed once, in the
-height-(n-j) tower.
+shifts, and the rest are the tail part, each of which must move only the
+first j-prefix block.  It checks the order equation, trivial intersection
+(via ranks of the tail part's prefix conjugates' tail images, their order,
+and commutation), and the scaling identities.  The conjugates are not
+built: the level-j tail is the direct product of p**j height-(n-j) towers,
+a prefix shift moves the blocks rigidly, so a tail generator's conjugates
+are its block-0 piece on each block.  Each distinct piece is decomposed
+once, in the height-(n-j) tower.
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ from typing import Iterable, Iterator, Optional
 from .linalg import Subspace, layout, spin
 from .perm import Perm, conjugate, format_cycles
 from .tower import (
-    NotInTail,
     NotInTower,
     Tower,
-    block_pieces,
     co_shift_gen,
     decompose,
     portrait_depth,
@@ -175,14 +173,15 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     conjugating any complement generator by any scale generator gives back
     the generator or its r-th power.
 
-    The conjugates in (ii) are never built.  A tail generator is read as
-    its block pieces, and the prefix generators, once checked equal to the
-    shifts, move the blocks rigidly, so a conjugate is the same pieces on
-    the blocks that the prefix representative's block map gives.
-    A conjugate has the order of the element conjugated; its tail image is
-    its pieces' local images in those columns; and two conjugates commute
-    exactly when the pieces they put on a common block do.  A wrong prefix
-    part, or a tail part off the tail, fails (ii) except for the order check.
+    The conjugates in (ii) are never built.  Each tail generator must move
+    the first j-prefix block only (``tail_part_in_tail``), and the prefix
+    generators, once checked equal to the shifts, move the blocks rigidly,
+    so its conjugates are its block-0 piece on each block.  A conjugate has
+    the order of the element conjugated; its tail image is the piece's local
+    image in that block's columns; conjugates on distinct blocks commute,
+    and on a common block they commute exactly when their pieces do.  A
+    wrong prefix part, or a tail part that moves other blocks or leaves the
+    tail, fails (ii) except for the order check.
     """
     if not decision.has_complement:
         raise ValueError("nothing to verify for a negative decision")
@@ -229,68 +228,39 @@ def _conjugate_images(
 ) -> Optional[tuple[Iterator[int], bool]]:
     """Packed tail images of the tail part's prefix conjugates, and whether they commute.
 
-    The first j generators must be the prefix shifts, which move the blocks
-    rigidly; their block maps are read off one point per block.  The
-    conjugates of the rest come in ``block_conjugates`` order, read off the
-    block pieces.  None when the prefix part is wrong, or when a tail
-    generator is off the tail.
+    The first j generators must be the prefix shifts, and every later one
+    must fix the points outside j-prefix block 0 and act on that block as
+    an element of its height-(n-j) tower.  prefix_rep(j, b) carries block 0
+    rigidly onto block b, so the conjugates of such a generator, in
+    ``block_conjugates`` order, are its block-0 piece on each block b; they
+    are all of its prefix-group conjugates.  None when the prefix part is
+    wrong, or when a tail generator is not of that form.
     """
     p, blocks, size = tw.p, tw.p**j, tw.p ** (tw.n - j)
     if list(gens[:j]) != [shift_gen(tw, i) for i in range(j)]:
         return None
-    try:
-        pieces = [block_pieces(tw, j, g) for g in gens[j:]]
-    except NotInTail:
+    rest = tuple(range(size, tw.degree))
+    if any(g.images[size:] != rest for g in gens[j:]):
         return None
-    local_images = {}
-    for piece in {piece for ps in pieces for piece in ps.values()}:
+    pieces = [g.images[:size] for g in gens[j:]]
+    width = layout(p, (tw.n - j) * blocks).width
+    packed = {}  # piece -> the packed tail image of its block-0 copy
+    for piece in set(pieces):
         try:
             rows = decompose(Perm._raw(piece), p)
         except NotInTower:
             return None
-        local_images[piece] = portrait_tail_image(tower(p, tw.n - j), 0, rows)
-
-    # landings(c)[b] is where prefix_rep(j, b) takes block c: the rep applies
-    # shift i to the power of digit i of b, the last digit first
-    powers = []
-    for g in gens[:j]:
-        bm = [t // size for t in g.images[::size]]
-        pw = [tuple(range(blocks))]
-        for _ in range(1, p):
-            pw.append(tuple(bm[t] for t in pw[-1]))
-        powers.append(pw)
-
-    def landings(c: int) -> list[int]:
-        out = [c]
-        for pw in reversed(powers):
-            out = [m[y] for m in pw for y in out]
-        return out
-
-    lands = [{c: landings(c) for c in ps} for ps in pieces]
-    landed: dict = {}  # piece -> the blocks some conjugate puts it on
-    for ps, ls in zip(pieces, lands):
-        for c, piece in ps.items():
-            landed.setdefault(piece, set()).update(ls[c])
-    # both conjugates fix every block; on a shared one they act by their pieces
-    distinct = list(landed)
+        local_image = portrait_tail_image(tower(p, tw.n - j), 0, rows)
+        packed[piece] = sum(x << s * blocks * width for s, x in enumerate(local_image))
+    # copies on distinct blocks commute; on a common block they act by their pieces
+    distinct = list(packed)
     abelian = all(
         tuple(a[t] for t in b) == tuple(b[t] for t in a)
         for k, a in enumerate(distinct)
         for b in distinct[k + 1 :]
-        if not landed[a].isdisjoint(landed[b])
     )
-
-    width = layout(p, (tw.n - j) * blocks).width
-
-    def image(ps: dict, ls: dict, b: int) -> int:
-        return sum(
-            x << (s * blocks + ls[c][b]) * width
-            for c, piece in ps.items()
-            for s, x in enumerate(local_images[piece])
-        )
-
-    # made one at a time as the span takes them: p**j packed vectors
-    images = (image(ps, ls, b) for ps, ls in zip(pieces, lands) for b in range(blocks))
+    # made one at a time as the span takes them: the copy on block b is column b
+    images = (packed[piece] << b * width for piece in pieces for b in range(blocks))
     return images, abelian
 
 

@@ -165,7 +165,7 @@ def gallery_mod9() -> dict:
         Mod9Elem(v1, v2, 0) for v1 in (0, 3, 6) for v2 in range(9)
     ]
     normal = bfs_closure(derived_plane + [x], cap=300, identity=e)
-    complements = exhaustive_complements(group, normal, cap=300)
+    complements = exhaustive_complements(group, normal)
     order3 = all(
         (Mod9Elem(v1, v2, 1) * Mod9Elem(v1, v2, 1)) * Mod9Elem(v1, v2, 1) == e
         for v1 in range(9)

@@ -7,8 +7,9 @@ element enumeration, exhaustive normal-subgroup and abelian-subgroup
 searches with canonical-set deduplication, a complement search that lifts
 the group's generators over the cosets of a normal subgroup (it refuses a
 non-normal one), and scans of full symmetric groups for centralizers.
-Caps guard against accidentally enumerating something huge; override them
-explicitly when a test really wants a bigger sweep.
+Caps guard against accidentally enumerating something huge: the searches
+refuse a group above the fixed ``SEARCH_CAP``, and ``bfs_closure`` takes a
+cap for the closures that are expected to be larger.
 
 Two pieces carry all of it:
 
@@ -109,11 +110,10 @@ class _Index:
         """Numbers of the closure of the start set under right multiplication by gens."""
         return _walk(start, [self.col(k).__getitem__ for k in gens], cap)
 
-    def mask(self, members) -> int:
-        bits = bytearray((len(self.elems) + 7) >> 3)
-        for i in members:
-            bits[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(bits, "little")
+    @staticmethod
+    def mask(members) -> int:
+        """The int with bit i set for each i in members, which must be distinct numbers."""
+        return sum(map((1).__lshift__, members))
 
     def sorted_subgroups(self, found) -> list[GroupSet]:
         """(members, gens) pairs as GroupSets, by order and then by elements."""
@@ -124,9 +124,9 @@ class _Index:
         ]
 
 
-def _check_size(group: GroupSet, cap: int) -> None:
-    if group.order > cap:
-        raise CapExceeded(f"group order {group.order} exceeds cap {cap}")
+def _check_size(group: GroupSet) -> None:
+    if group.order > SEARCH_CAP:
+        raise CapExceeded(f"group order {group.order} exceeds cap {SEARCH_CAP}")
 
 
 def _identity_of(gens: Sequence, identity):
@@ -184,9 +184,9 @@ def derived_subgroup(group: GroupSet) -> GroupSet:
     return _commutators_with(group, group.elements)
 
 
-def all_normal_subgroups(group: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSet]:
+def all_normal_subgroups(group: GroupSet) -> list[GroupSet]:
     """Every normal subgroup, as the join closure of cyclic normal closures."""
-    _check_size(group, cap)
+    _check_size(group)
     ix = group._index
     conj = [lambda y, g=g, gi=g.inverse(): g * y * gi for g in group.gens]
     atoms: dict[int, tuple] = {}  # mask -> (members, gens)
@@ -218,7 +218,7 @@ def all_normal_subgroups(group: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSe
     return ix.sorted_subgroups(found.values())
 
 
-def _complements(group: GroupSet, normal: GroupSet, cap: int):
+def _complements(group: GroupSet, normal: GroupSet):
     """Yield each complement of the normal subgroup once, as (members, lifts) index numbers.
 
     A complement C maps isomorphically onto G/N, so it holds exactly one
@@ -233,7 +233,7 @@ def _complements(group: GroupSet, normal: GroupSet, cap: int):
     Refuses an N that is not normal, or gens that do not generate the group
     (a normal closure's need not): the lifts would miss complements.
     """
-    _check_size(group, cap)
+    _check_size(group)
     if group.order % normal.order:
         raise ValueError("normal subgroup order does not divide the group order")
     ix = group._index
@@ -261,16 +261,16 @@ def _complements(group: GroupSet, normal: GroupSet, cap: int):
     yield from lift({ix.e}, ())
 
 
-def exhaustive_complements(group: GroupSet, normal: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSet]:
+def exhaustive_complements(group: GroupSet, normal: GroupSet) -> list[GroupSet]:
     """All subgroups C with C meet N trivial and |C| * |N| = |G|, for a normal N.
 
     Each complement's gens are its lifts of group.gens (see ``_complements``).
     """
-    return group._index.sorted_subgroups(_complements(group, normal, cap))
+    return group._index.sorted_subgroups(_complements(group, normal))
 
 
-def has_complement(group: GroupSet, normal: GroupSet, cap: int = SEARCH_CAP) -> bool:
-    return next(_complements(group, normal, cap), None) is not None
+def has_complement(group: GroupSet, normal: GroupSet) -> bool:
+    return next(_complements(group, normal), None) is not None
 
 
 def centralizer_in_sym(target_gens: Sequence[Perm], degree: int) -> GroupSet:
@@ -295,7 +295,7 @@ def centralizer_in_sym(target_gens: Sequence[Perm], degree: int) -> GroupSet:
     return GroupSet(frozenset(found), tuple(target_gens), Perm.identity(degree))
 
 
-def all_abelian_subgroups(group: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSet]:
+def all_abelian_subgroups(group: GroupSet) -> list[GroupSet]:
     """Every abelian subgroup, the trivial one included, by order and then by elements.
 
     Depth-first growth of commuting sets with canonical-set memoization;
@@ -308,7 +308,7 @@ def all_abelian_subgroups(group: GroupSet, cap: int = SEARCH_CAP) -> list[GroupS
     coset current * g leaves the candidates: each of its elements gives the
     same join current * <g>, which the search has then already recorded.
     """
-    _check_size(group, cap)
+    _check_size(group)
     ix = group._index
     size = range(len(ix.elems))
     cols = [ix.col(h) for h in size]
@@ -339,9 +339,9 @@ def all_abelian_subgroups(group: GroupSet, cap: int = SEARCH_CAP) -> list[GroupS
     return ix.sorted_subgroups(found.values())
 
 
-def max_abelian_stats(group: GroupSet, p: int, cap: int = SEARCH_CAP) -> tuple[int, int]:
+def max_abelian_stats(group: GroupSet, p: int) -> tuple[int, int]:
     """Largest abelian subgroup order as an exponent of p, and how many attain it."""
-    orders = [sub.order for sub in all_abelian_subgroups(group, cap)]
+    orders = [sub.order for sub in all_abelian_subgroups(group)]
     exponent = 0
     order = orders[-1]
     while order > 1:

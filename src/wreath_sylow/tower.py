@@ -12,12 +12,11 @@ The structural layers computed here are used by the complement engine:
 - the *tail filtration*: ``in_tail(tower, j, x)`` holds when x fixes the
   first j digits of every point, i.e. x acts only inside the p**j blocks
   of points sharing a j-digit prefix (the tail subgroups are normal and
-  descend from the whole group at j=0 to the trivial group at j=n).  Such
-  an x is read as its *block pieces* (``block_pieces``), one local image
-  tuple per block it moves, and a prefix shift carries blocks onto blocks
-  rigidly, so its conjugates only move the pieces.  The block maps are the
-  height-j tower's shifts, and they permute the tail vectors' coordinates
-  (``tail_coordinate_perms``);
+  descend from the whole group at j=0 to the trivial group at j=n).  A
+  prefix shift carries blocks onto blocks rigidly, so the prefix conjugates
+  of an x that moves one block only are the same local piece moved to other
+  blocks.  The block maps are the height-j tower's shifts, and they permute
+  the tail vectors' coordinates (``tail_coordinate_perms``);
 - the *portrait* of an element: its wreath coordinates as one flat table,
   row d holding the digit-d translation on each of the p**d d-prefixes;
   ``decompose`` finds it exactly for the tower's elements, and everything
@@ -296,25 +295,6 @@ def portrait_tail_image(tower: Tower, j: int, rows: Sequence[Sequence[int]]) -> 
     return tuple(
         sum(rows[j + s][b * p**s : (b + 1) * p**s]) % p for s in range(tower.n - j) for b in range(p**j)
     )
-
-
-def block_pieces(tower: Tower, j: int, x: Perm) -> dict[int, tuple[int, ...]]:
-    """The local image tuple of x on each j-prefix block that it moves.
-
-    Raises NotInTail if x moves a point out of its block.  The level-j tail
-    is the direct product of the blocks' height-(n-j) towers: x is in it
-    exactly when it keeps its blocks and each piece lies in that tower.
-    """
-    if not in_tail(tower, j, x):
-        raise NotInTail(f"moves a block (level {j})")
-    size = tower.p ** (tower.n - j)
-    out = {}
-    for c in range(tower.p**j):
-        base = c * size
-        block = x.images[base : base + size]
-        if block != tuple(range(base, base + size)):
-            out[c] = tuple(y - base for y in block)
-    return out
 
 
 def tail_coordinate_perms(tw: Tower, j: int) -> list[tuple[int, ...]]:

@@ -7,12 +7,16 @@ form; brute-force groups (``normal_closure``, ``derived_subgroup_from_gens``,
 3^13 elements at p = 3, n = 3 by walking packed images); ``member``, and
 ``random_tail``, a random element of the level-j tail.
 
-``verify_complement_all_conjugates`` is the certificate before it read tail
-generators as block pieces: it builds every prefix conjugate of the tail
-part at full degree, takes each one's tail image, and multiplies the pairs
-whose supports meet.  ``co_shift_by_conjugates`` is the co-shift as the
-product of conjugates that defines it, which ``tower.co_shift_gen`` builds
-from the digits instead.
+``verify_complement_all_conjugates`` is the certificate before it read
+each tail generator as one local piece: it builds every prefix conjugate
+of the tail part at full degree, takes each one's tail image, and
+multiplies the pairs whose supports meet.  It is compared only on tail
+parts that move block 0 alone: for one spread over several blocks, its
+p**j conjugates per generator are not the count the order equation
+assumes, and it can pass a group of the wrong order.
+``co_shift_by_conjugates`` is the co-shift as the product of conjugates
+that defines it, which ``tower.co_shift_gen`` builds from the digits
+instead.
 
 ``level_sums`` is the per-level block sum on a coordinate tuple, which
 ``uniserial.module_invariants`` reads off packed rows as lane sums.
@@ -41,7 +45,7 @@ from typing import Iterable, Optional, Sequence
 from wreath_sylow import oracle
 from wreath_sylow.complements import Certificate, complement_order_exponent
 from wreath_sylow.linalg import Matrix, Subspace, kernel_packed, layout
-from wreath_sylow.oracle import SEARCH_CAP, CapExceeded, GroupSet, _check_size, element_order
+from wreath_sylow.oracle import CapExceeded, GroupSet, _check_size, element_order
 from wreath_sylow.perm import Perm, conjugate
 from wreath_sylow.tower import (
     NotInTail,
@@ -315,6 +319,8 @@ def verify_complement_all_conjugates(handle, decision) -> Certificate:
 
     It reads the decision's generators as the certificate does: gens[:j]
     must equal the first j shift generators, and gens[j:] is the tail part.
+    It does not require the tail part to move block 0 only, so it agrees
+    with the certificate only on tail parts that do.
     """
     if not decision.has_complement:
         raise ValueError("nothing to verify for a negative decision")
@@ -367,7 +373,6 @@ def verify_complement_all_conjugates(handle, decision) -> Certificate:
 def complements_by_extension(
     group: GroupSet,
     normal: GroupSet,
-    cap: int = SEARCH_CAP,
     find_all: bool = True,
 ) -> list[GroupSet]:
     """All subgroups C with C meet N trivial and |C| * |N| = |G|.
@@ -375,7 +380,7 @@ def complements_by_extension(
     Backtracking over generator extensions with canonical-set memoization;
     with find_all=False, stops at the first complement.
     """
-    _check_size(group, cap)
+    _check_size(group)
     if group.order % normal.order:
         raise ValueError("normal subgroup order does not divide the group order")
     target = group.order // normal.order
@@ -423,13 +428,13 @@ class _FoundOne(Exception):
     pass
 
 
-def abelian_subgroups_by_scan(group: GroupSet, cap: int = SEARCH_CAP) -> list[GroupSet]:
+def abelian_subgroups_by_scan(group: GroupSet) -> list[GroupSet]:
     """Every abelian subgroup, by order and then by elements, with gens as found.
 
     Depth-first: each element outside the current subgroup that commutes
     with its gens is closed into a join, and new joins are grown further.
     """
-    _check_size(group, cap)
+    _check_size(group)
     ix = group._index
     found = {1 << ix.e: ({ix.e}, ())}  # mask -> (members, gens)
 

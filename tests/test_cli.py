@@ -79,6 +79,9 @@ JSON_PINS = {
     "decide --p 127 --n 2 --gens s1": "4189e8d16bb72b5b377bf98690f33f3a43566ecdb2b57d72d61bd951ecc74444",
     "gens --p 2 --n 6": "e6bdfe205cc202cee486cb545d5966e49ddc46db26ad260e23a607f925d2ec85",
     "gens --p 3 --n 4": "671e379c5669738612c48f8b1042ded1428c2d794a7a2825960d3a7b6a2e1c61",
+    # every normal subgroup against the engine, which closes each from its gens
+    "oracle crosscheck --p 2 --n 3": "1244c761e08d5c29c56f5c663ead4c6ac19a26bd097150e2cc6704f6e62baf25",
+    "oracle crosscheck --p 3 --n 2": "bcc4888889493636f0fd8a25c1560b5f1e59125b1a19b5f99251809bbee4bb66",
 }
 
 

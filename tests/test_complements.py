@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from wreath_sylow.complements import (
     decision_json,
     tail_commutator_exponent,
 )
-from wreath_sylow.perm import Perm, conjugate
+from wreath_sylow.perm import Perm, conjugate, parse_cycles
 from wreath_sylow.tower import block_conjugates, prefix_rep, random_element
 from wreath_sylow.uniserial import STYLE_CO_SHIFT, STYLE_PREFIX
 
@@ -147,14 +148,14 @@ def test_verify_rejects_complement_meeting_the_closure():
 
 
 def test_verify_rejects_noncommuting_tail_part():
-    # the prefix conjugates of s1 * (s2 ^ prefix_rep(1, 1)) overlap in the
-    # blocks they share, and there they do not commute
+    # s1 and s2 both move block 0 only, and they do not commute there
     s1, s2 = ws.shift_gen(T33, 1), ws.shift_gen(T33, 2)
-    forged = s1 * conjugate(s2, prefix_rep(T33, 1, 1))
+    assert s1 * s2 != s2 * s1
     handle = ws.closure_handle(T33, [s1])
     decision = ws.decide(handle)
     assert decision.style == STYLE_CO_SHIFT and decision.levels == (2,)
-    cert = ws.verify_complement(handle, replace(decision, gens=decision.gens[:1] + (forged,)))
+    cert = ws.verify_complement(handle, replace(decision, gens=decision.gens[:1] + (s1, s2)))
+    assert cert.checks["tail_part_in_tail"] is True
     assert cert.checks["tail_part_abelian"] is False
     assert not cert.passed
 
@@ -445,8 +446,14 @@ def test_forged_tail_parts_match_all_conjugates():
             # forge the first tail generator only; the others stay genuine
             forged_decision = replace(decision, gens=decision.gens[:j] + (forged,) + decision.gens[j + 1 :])
             cert = ws.verify_complement(handle, forged_decision)
-            ref = verify_complement_all_conjugates(handle, forged_decision)
             key = (tw.p, tw.n, j, label)
+            if label.startswith("spread"):
+                # it moves a block other than block 0, so the order equation's
+                # count of its conjugates does not hold; the reference misses this
+                assert cert.checks["tail_part_in_tail"] is False, key
+                assert not cert.passed, key
+                continue
+            ref = verify_complement_all_conjugates(handle, forged_decision)
             if ref.checks["tail_part_in_tail"]:
                 assert (cert.checks, cert.numbers) == (ref.checks, ref.numbers), key
             else:
@@ -454,10 +461,50 @@ def test_forged_tail_parts_match_all_conjugates():
                 assert list(cert.checks) == list(ref.checks), key
                 assert all(cert.checks[k] is False for k, ok in ref.checks.items() if not ok), key
                 assert cert.checks["tail_part_abelian"] is False, key
-            if label == "spread, not commuting":
-                assert cert.checks["tail_part_abelian"] is False, key
-            if label == "spread, commuting":
-                assert cert.checks["tail_part_abelian"] is True, key
+
+
+def _s2_handle_at_2_4():
+    """(2,4) with N the closure of s2: depth 2, |N| = 2^8, complement order 2^7."""
+    tw = ws.tower(2, 4)
+    handle = ws.closure_handle(tw, [ws.shift_gen(tw, 2)])
+    decision = ws.decide(handle)
+    assert (handle.j, handle.order_exponent) == (2, 8)
+    assert decision.style == STYLE_CO_SHIFT and len(decision.gens) == 3
+    return handle, decision
+
+
+def test_verify_rejects_tail_generator_spread_over_blocks():
+    # the tail generator moves blocks 1 and 3, whose pieces commute, and the
+    # all-conjugates reference passes it; yet s0, s1 and it generate 2^9
+    # elements, not the 2^7 of the order equation
+    handle, decision = _s2_handle_at_2_4()
+    forged = replace(decision, gens=decision.gens[:2] + (parse_cycles("(4 5)(12 13)(14 15)", 16),))
+    assert oracle.bfs_closure(forged.gens).order == 2**9
+    assert verify_complement_all_conjugates(handle, forged).passed
+    cert = ws.verify_complement(handle, forged)
+    assert cert.numbers["complement_exponent"] == 7
+    assert cert.checks["tail_part_in_tail"] is False
+    assert not cert.passed
+
+
+def test_certified_forgeries_have_the_counted_order():
+    # every tail generator made of two elements of tower(2, 2) on two of the
+    # four blocks: whatever the certificate passes generates 2^(15 - 8) elements
+    handle, decision = _s2_handle_at_2_4()
+    local = oracle.bfs_closure(ws.shift_gens(ws.tower(2, 2))).sorted_elements()
+    assert len(local) == 8
+    passed = set()
+    for b1, b2 in itertools.combinations(range(4), 2):
+        for x, y in itertools.product(local, repeat=2):
+            images = list(range(16))
+            for b, z in ((b1, x), (b2, y)):
+                images[4 * b : 4 * b + 4] = [4 * b + t for t in z.images]
+            forged = replace(decision, gens=decision.gens[:2] + (Perm(images),))
+            if ws.verify_complement(handle, forged).passed:
+                assert oracle.bfs_closure(forged.gens).order == 2**7, (b1, b2, x, y)
+                passed.add(forged.gens[2])
+    # the identity on the second block leaves two block-0 tail generators
+    assert len(passed) == 2 and decision.gens[2] in passed
 
 
 def test_verify_complement_builds_no_conjugates(monkeypatch):

@@ -12,7 +12,6 @@ from wreath_sylow.tower import (
     NotInTail,
     NotInTower,
     block_conjugates,
-    block_pieces,
     level_element,
     point_action_matrices,
     prefix_rep,
@@ -348,24 +347,6 @@ def test_block_transport_of_prefix_shifts():
                 expected = ws.shift_gen(ws.tower(p, j), i).images if i < j else None
                 assert block_transport(tw, j, g) == expected, (p, n, j, i)
     assert block_transport(T33, 1, parse_cycles("(0 9)(1 10)(2 11)", 27)) is None
-
-
-def test_block_pieces_rebuild_the_element():
-    rng = random.Random(8)
-    for p, n in [(2, 4), (3, 3), (5, 2)]:
-        tw = ws.tower(p, n)
-        for j in range(n):
-            x = random_tail(tw, j, rng)
-            size = p ** (n - j)
-            pieces = block_pieces(tw, j, x)
-            images = list(range(tw.degree))
-            for c, local in pieces.items():
-                assert local != tuple(range(size))
-                images[c * size : (c + 1) * size] = [c * size + y for y in local]
-            assert tuple(images) == x.images
-    assert block_pieces(T33, 1, ws.shift_gen(T33, 2)) == {0: (1, 2, 0, 3, 4, 5, 6, 7, 8)}
-    with pytest.raises(NotInTail):
-        block_pieces(T33, 1, ws.shift_gen(T33, 0))
 
 
 def test_depth_examples():
