@@ -52,7 +52,7 @@ from .tower import (
     scale_gens,
     shift_gen,
     shift_gens,
-    tail_coordinate_perms,
+    tail_movers,
     tower,
 )
 from .uniserial import STYLE_CO_SHIFT, levels_from_socle, module_invariants
@@ -88,7 +88,7 @@ def closure_handle(tower: Tower, gens: Iterable[Perm]) -> NormalClosure:
     j = portrait_depth(tower, portraits)
     dim = (tower.n - j) * tower.p**j
     seeds = [portrait_tail_image(tower, j, rows) for rows in portraits]
-    image = spin(tower.p, dim, seeds, tail_coordinate_perms(tower, j))
+    image = spin(tower.p, dim, seeds, tail_movers(tower, j))
     return NormalClosure(
         tower, gens, j, image, tail_commutator_exponent(tower, j) + image.rank
     )
@@ -171,7 +171,8 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     the closure image in 0, and they commute pairwise with order p (so the
     tail part is the expected elementary abelian group); (iii) invariance:
     conjugating any complement generator by any scale generator gives back
-    the generator or its r-th power.
+    the generator or its r-th power: eta * g equals g * eta or g**r * eta,
+    on the scale generators that ``scale_gens`` builds once per tower.
 
     The conjugates in (ii) are never built.  Each tail generator must move
     the first j-prefix block only (``tail_part_in_tail``), and the prefix
@@ -216,7 +217,7 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
 
     # at p = 2, r = 1 and every scale generator is the identity
     checks["scale_invariance"] = all(
-        (cg := conjugate(g, eta)) == g or cg == g**tw.r
+        (eg := eta * g) == g * eta or eg == g**tw.r * eta
         for eta in (scale_gens(tw) if tw.p > 2 else ())
         for g in decision.gens
     )

@@ -292,15 +292,16 @@ def kernel_packed(p: int, width: int, rows: Sequence[int]) -> list[int]:
 
 
 def spin(
-    p: int, dim: int, seeds: Iterable[Sequence[int]], perms: Sequence[Sequence[int]]
+    p: int, dim: int, seeds: Iterable[Sequence[int]], movers: Sequence[Sequence[tuple[int, int]]]
 ) -> Subspace:
     """Smallest subspace containing the seeds and closed under every permutation.
 
-    Worklist closure: each newly added basis vector is pushed through every
-    coordinate permutation until nothing new appears.
+    Each coordinate permutation q comes as its ``layout(p, dim).mover(q)``,
+    so a caller that spins under the same permutations again builds the
+    movers once.  Worklist closure: each newly added basis vector is pushed
+    through every mover until nothing new appears.
     """
     lay = layout(p, dim)
-    movers = [lay.mover(q) for q in perms]
     ech = _Echelon(lay)
     queue = [w for w in map(lay.pack, seeds) if ech.insert(w)]
     while queue:

@@ -6,14 +6,19 @@ Conventions used throughout the package:
 - conjugation: ``conjugate(x, g) = g * x * g**-1``; with the composition
   rule above, conjugating a cycle relabels its points through ``g``.
 
-Permutations are stored as full image tables (degree <= a few hundred in
-every intended use), so all operations are exact and allocation-cheap.
+Permutations are stored as full image tables, so all operations are exact.
+Degrees reach the tower's cap of 2**14 points, so the per-point work runs
+in C: a product is one ``operator.itemgetter`` gather of one table by the
+other (a power is one product per squaring and per factor).  The cycle
+walk builds no list for a fixed point, and the printed form is one join
+of the cycle tuples' C-level ``str``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -47,12 +52,11 @@ class Perm:
         return self.images[x]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        if len(self.images) != len(other.images):
-            raise ValueError(
-                f"degree mismatch: {len(self.images)} vs {len(other.images)}"
-            )
-        img = self.images
-        return Perm._raw(tuple(img[y] for y in other.images))
+        img, idx = self.images, other.images
+        if len(img) != len(idx):
+            raise ValueError(f"degree mismatch: {len(img)} vs {len(idx)}")
+        # below degree 2 both are the identity, and itemgetter would return no tuple
+        return Perm._raw(itemgetter(*idx)(img) if len(idx) > 1 else idx)
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
@@ -63,34 +67,32 @@ class Perm:
     def __pow__(self, k: int) -> "Perm":
         if k < 0:
             return self.inverse() ** (-k)
-        result = Perm.identity(self.degree)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return Perm.identity(self.degree) if result is None else result
 
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles()), 1)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles of length >= 2, sorted by least moved point."""
-        seen = [False] * len(self.images)
+        img = self.images
+        seen = [False] * len(img)
         out = []
-        for start in range(len(self.images)):
-            if seen[start]:
+        for start, y in enumerate(img):
+            if y == start or seen[start]:  # a fixed point builds no list
                 continue
             cyc = [start]
-            seen[start] = True
-            y = self.images[start]
             while y != start:
                 cyc.append(y)
                 seen[y] = True
-                y = self.images[y]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
+                y = img[y]
+            out.append(tuple(cyc))
         return out
 
     def __eq__(self, other) -> bool:
@@ -144,8 +146,6 @@ def parse_cycles(text: str, degree: int) -> Perm:
 
 def format_cycles(a: Perm) -> str:
     """Inverse of parse_cycles: fixed points omitted, identity printed as "()"."""
-    cycles = a.cycles()
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(str(pt) for pt in cyc) + ")" for cyc in cycles)
+    # str of a tuple of ints is "(0, 1)": one join, then drop the commas
+    return "".join(map(str, a.cycles())).replace(", ", " ") or "()"
 

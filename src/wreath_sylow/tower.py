@@ -42,15 +42,26 @@ they normalize the tower and generate a Hall p'-subgroup of its normalizer
 of order ``(p-1)**n``.  The *co-shift* ``co_shift_gen(i)``, the product of the
 nonidentity ``shift_gen(i-1)``-power conjugates of ``shift_gen(i)``, adds 1 to
 digit i on the i-prefix blocks 1..p-1: where digits 0..i-2 vanish and i-1 does not.
+
+Tables that depend only on the tower are built once, each in O(degree)
+words, and every per-point pass over them is a C-level gather
+(``operator.itemgetter``) or slice: ``decompose`` reads its step, prefix
+and digit tables per (p, degree); ``scale_gens`` builds the scale
+generators once per tower and returns a fresh list of them; and
+``tail_movers`` keeps the packed-row movers of ``tail_coordinate_perms``
+per (tower, j), so the closures spin without rebuilding them.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass, field
+from itertools import cycle, repeat
+from operator import add, floordiv, itemgetter, mod
 from typing import Iterable, Optional, Sequence
 
-from .linalg import Matrix, perm_action_matrix
+from .linalg import Matrix, layout, perm_action_matrix
 from .perm import Perm, conjugate
 
 
@@ -148,12 +159,11 @@ def scale_gen(tower: Tower, i: int) -> Perm:
     if not 0 <= i <= tower.n - 1:
         raise ValueError(f"level {i} out of range 0..{tower.n - 1}")
     p, n, r = tower.p, tower.n, tower.r
-    step = p ** (n - 1 - i)
-    images = []
-    for a in range(tower.degree):
-        d = a // step % p
-        images.append(a + (r * d % p - d) * step)
-    return Perm(images)
+    step = p ** (n - 1 - i)  # weight of digit i
+    moves: list[int] = []  # the displacement of each point, periodic in p * step
+    for d in range(p):
+        moves += [(r * d % p - d) * step] * step
+    return Perm._raw(tuple(map(add, range(tower.degree), cycle(moves))))
 
 
 def co_shift_gen(tower: Tower, i: int) -> Perm:
@@ -168,7 +178,13 @@ def shift_gens(tower: Tower) -> list[Perm]:
 
 
 def scale_gens(tower: Tower) -> list[Perm]:
-    return [scale_gen(tower, i) for i in range(tower.n)]
+    """A fresh list of the scale generators, which are built once per tower."""
+    return list(_scale_gens(tower))
+
+
+@functools.cache
+def _scale_gens(tower: Tower) -> tuple[Perm, ...]:
+    return tuple(scale_gen(tower, i) for i in range(tower.n))
 
 
 def co_shift_gens(tower: Tower) -> list[Perm]:
@@ -227,6 +243,19 @@ def in_tail(tower: Tower, j: int, x: Perm) -> bool:
     return all(y // size == a // size for a, y in enumerate(x.images))
 
 
+@functools.cache
+def _fiber_tables(p: int, degree: int) -> tuple[array, array, tuple]:
+    """decompose's tables: step[a] = a - a % p + (a + 1) % p, a // p and a % p.
+
+    step rotates each fiber of p points by one.  No entry depends on the
+    level, so a level of degree d reads the first d; the arrays hold one
+    machine word per point, whatever p is.
+    """
+    points = range(degree)
+    step = array("I", map(add, points, cycle((1,) * (p - 1) + (1 - p,))))
+    return step, array("I", map(floordiv, points, repeat(p))), tuple(map(mod, points, repeat(p)))
+
+
 def decompose(x: Perm, p: int) -> tuple[tuple[int, ...], ...]:
     """Wreath coordinates of x as rows; raises NotInTower if there are none.
 
@@ -234,27 +263,48 @@ def decompose(x: Perm, p: int) -> tuple[tuple[int, ...], ...]:
     rows are read from the last digit up: each fiber of p points sharing a
     prefix must map onto one fiber by a translation, and the induced map on
     prefixes is decomposed in turn.  This succeeds exactly on the tower.
+
+    A map sends fibers to fibers by translations exactly when it commutes
+    with the rotation ``step`` of every fiber, so each level is checked by
+    one gather of the cached ``step`` table and p - 1 slice comparisons;
+    the fiber heads' images, gathered from the cached ``prefix`` and
+    ``digit`` tables, give the induced map and the row.  Only an input that
+    fails a level is walked fiber by fiber, to name its first bad block.
     """
     images = x.images
+    d = len(images)
+    step, prefix, digit = _fiber_tables(p, d)
     rows = []
-    while len(images) > 1:
-        d = len(images)
+    while d > 1:
         if d % p:
             raise ValueError(f"degree {d} is not a power of {p}")
-        shifts, induced = [], []
-        for b in range(0, d, p):
-            target, c = divmod(images[b], p)
-            for y in range(1, p):
-                img = images[b + y]
-                if img // p != target:
-                    raise NotInTower("fiber not preserved", d, b // p)
-                if img % p != (y + c) % p:
-                    raise NotInTower("fiber action is not a translation", d, b // p)
-            shifts.append(c)
-            induced.append(target)
-        rows.append(tuple(shifts))
-        images = induced
-    return tuple(reversed(rows))
+        stepped = itemgetter(*images)(step)  # step(x(a)), to equal x(step(a))
+        for y in range(1, p):
+            if images[y::p] != stepped[y - 1 :: p]:
+                _raise_bad_fiber(images, p)
+        if d == p:  # one fiber: an itemgetter of one head returns no tuple
+            rows.append((digit[images[0]],))
+            break
+        heads = itemgetter(*images[::p])
+        rows.append(heads(digit))
+        images = heads(prefix)
+        d //= p
+    rows.reverse()
+    return tuple(rows)
+
+
+def _raise_bad_fiber(images: Sequence[int], p: int):
+    """Raise NotInTower naming the first fiber that is not translated onto a fiber."""
+    d = len(images)
+    for b in range(0, d, p):
+        target, c = divmod(images[b], p)
+        for y in range(1, p):
+            img = images[b + y]
+            if img // p != target:
+                raise NotInTower("fiber not preserved", d, b // p)
+            if img % p != (y + c) % p:
+                raise NotInTower("fiber action is not a translation", d, b // p)
+    raise AssertionError("every fiber is translated onto a fiber")
 
 
 def reconstruct(rows: Sequence[Sequence[int]], p: int) -> Perm:
@@ -309,8 +359,19 @@ def tail_coordinate_perms(tw: Tower, j: int) -> list[tuple[int, ...]]:
     if j == 0:  # no prefix shifts, and no tower of height 0
         return []
     top = tower(tw.p, j)
+    blocks = top.degree
     maps = (shift_gen(top, i).images for i in range(j))
-    return [tuple(s * top.degree + t for s in range(tw.n - j) for t in bm) for bm in maps]
+    return [tuple(s * blocks + t for s in range(tw.n - j) for t in bm) for bm in maps]
+
+
+@functools.cache
+def tail_movers(tw: Tower, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``tail_coordinate_perms(tw, j)`` as the movers ``linalg.spin`` takes, once per (tower, j).
+
+    A few (mask, shift) ints per generator are kept, not the coordinate tuples.
+    """
+    lay = layout(tw.p, (tw.n - j) * tw.p**j)
+    return tuple(tuple(lay.mover(q)) for q in tail_coordinate_perms(tw, j))
 
 
 def point_action_matrices(tower: Tower) -> list[Matrix]:

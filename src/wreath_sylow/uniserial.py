@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .linalg import Subspace, kernel_packed, layout, spin
-from .tower import Tower, tail_coordinate_perms
+from .tower import Tower, tail_movers
 
 # which complement the engine builds from a level choice
 STYLE_CO_SHIFT = "co_shift"  # prefix gens plus co-shifts at the chosen levels
@@ -85,16 +85,16 @@ def generates_uniserial(tower: Tower, j: int, coords: Sequence[int]) -> bool:
     True iff some summand passes both.
     """
     p, dim, blocks = tower.p, len(coords), tower.p**j
-    perms = tail_coordinate_perms(tower, j)
+    movers = tail_movers(tower, j)
     if not any(x % p for x in coords):
         return False
-    full = spin(p, dim, [coords], perms).rank
+    full = spin(p, dim, [coords], movers).rank
     for k in range(0, dim, blocks):
         if sum(coords[k : k + blocks]) % p == 0:
             continue
         alone = [0] * dim
         alone[k : k + blocks] = coords[k : k + blocks]
-        if spin(p, dim, [alone], perms).rank == full:
+        if spin(p, dim, [alone], movers).rank == full:
             return True
     return False
 

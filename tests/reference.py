@@ -30,6 +30,9 @@ is ``linalg.kernel_packed`` on tuple rows, for the dense solves above.
 point, the check the certificate made of its prefix part before it compared
 that part with the shifts; ``commutator`` is the group commutator.
 
+``decompose_by_fibers`` is ``tower.decompose`` before it checked each level
+by gathers of cached tables: it walks every fiber of every level in Python.
+
 ``complements_by_extension`` is the oracle's complement search before it
 lifted the group's generators over the cosets of N: it tries every element
 outside N and the current subgroup as the next generator, with a memo of
@@ -179,6 +182,30 @@ def member(handle, x: Perm) -> bool:
 def commutator(a: Perm, b: Perm) -> Perm:
     """a * b * a**-1 * b**-1."""
     return (a * b) * (b * a).inverse()
+
+
+def decompose_by_fibers(x: Perm, p: int) -> tuple[tuple[int, ...], ...]:
+    """Wreath coordinates of x as rows, one fiber at a time; NotInTower names the first bad block."""
+    images = x.images
+    rows = []
+    while len(images) > 1:
+        d = len(images)
+        if d % p:
+            raise ValueError(f"degree {d} is not a power of {p}")
+        shifts, induced = [], []
+        for b in range(0, d, p):
+            target, c = divmod(images[b], p)
+            for y in range(1, p):
+                img = images[b + y]
+                if img // p != target:
+                    raise NotInTower("fiber not preserved", d, b // p)
+                if img % p != (y + c) % p:
+                    raise NotInTower("fiber action is not a translation", d, b // p)
+            shifts.append(c)
+            induced.append(target)
+        rows.append(tuple(shifts))
+        images = induced
+    return tuple(reversed(rows))
 
 
 def block_transport(tower: Tower, j: int, g: Perm) -> Optional[tuple[int, ...]]:

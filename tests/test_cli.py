@@ -77,6 +77,12 @@ JSON_PINS = {
     "decide --p 131 --n 1 --gens s0": "6a479180e8c0e372b01860e3c45bf610be9e171dd27760ab64c8c1f250bafcaf",
     # the widest lane the degree cap admits with a tail
     "decide --p 127 --n 2 --gens s1": "4189e8d16bb72b5b377bf98690f33f3a43566ecdb2b57d72d61bd951ecc74444",
+    # one deep decision per prime of the benchmark ladder: every kernel the
+    # certificate runs, and at odd p the scale check on real scale generators
+    "decide --p 2 --n 9 --gens s7": "c21e4d527c70dcf92122b4593cf3709865f0fb864bed2f5a8446682cb36cdf5e",
+    "decide --p 3 --n 6 --gens s5": "40f1a69f3a1376f2b139e8c54debfc89ba9e52e59c5140bc2d8fd5450540b274",
+    "decide --p 5 --n 4 --gens s2": "96917cc5defa1e4cfaa8f02a71df1f976a12a48e628fdf25452ccf69578aaf8d",
+    "decide --p 7 --n 3 --gens s1": "becb05380bf59ea6378b6b1fa574971c7fef579591ce3ebb4ce6d688e920b802",
     "gens --p 2 --n 6": "e6bdfe205cc202cee486cb545d5966e49ddc46db26ad260e23a607f925d2ec85",
     "gens --p 3 --n 4": "671e379c5669738612c48f8b1042ded1428c2d794a7a2825960d3a7b6a2e1c61",
     # every normal subgroup against the engine, which closes each from its gens

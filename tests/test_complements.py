@@ -543,3 +543,28 @@ def test_verify_complement_builds_no_conjugates(monkeypatch):
                 assert ws.verify_complement(handle, decision).passed
                 assert calls["block_conjugates"] == calls["tail_image"] == 0
                 assert calls["decompose"] <= len(pieces), (tw, j, calls)
+
+
+def test_verify_rejects_a_tail_generator_the_scale_group_moves():
+    # At j = 1 the tail generator g = (digit-2 shift on 2-prefixes 0 and 1)
+    # moves block 0 only, so every check but the scale check passes.  The
+    # scale generator of digit 1 carries 2-prefix 1 to 2-prefix r, so it
+    # conjugates g to neither g nor g**r.
+    for p in (3, 5, 7):
+        tw = ws.tower(p, 3)
+        s1, s2 = ws.shift_gen(tw, 1), ws.shift_gen(tw, 2)
+        g = s2 * conjugate(s2, s1)
+        handle = ws.closure_handle(tw, [s1])
+        decision = ws.decide(handle)
+        assert handle.j == 1 and decision.has_complement
+        forged = replace(decision, gens=decision.gens[:1] + (g,))
+        cert = ws.verify_complement(handle, forged)
+        assert cert.checks["scale_invariance"] is False, p
+        assert [key for key, ok in cert.checks.items() if not ok] == ["scale_invariance"], p
+        assert verify_complement_all_conjugates(handle, forged).checks == cert.checks, p
+        assert decision_json(handle, forged)["checks"]["scale_invariance"] is False
+        # g commutes with the other scale generators, and conjugating by the one of
+        # digit 2 gives g**r: only digit 1's breaks the invariance
+        e0, e1, e2 = ws.scale_gens(tw)
+        assert conjugate(g, e0) == g and conjugate(g, e2) == g**tw.r
+        assert conjugate(g, e1) not in (g, g**tw.r)

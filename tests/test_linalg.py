@@ -18,11 +18,17 @@ from wreath_sylow.linalg import (
     Layout,
     Subspace,
     apply_map,
+    layout,
     lower_central_series,
     perm_action_matrix,
     spin,
 )
 from wreath_sylow.tower import DEGREE_CAP, is_prime, point_action_matrices, tail_coordinate_perms
+
+
+def spin_perms(p, dim, seeds, perms):
+    """spin, with the coordinate permutations given as tuples."""
+    return spin(p, dim, seeds, [layout(p, dim).mover(q) for q in perms])
 
 
 def test_span_trivials():
@@ -89,16 +95,16 @@ def test_left_kernel_counts():
 
 def test_spin_orbit_of_basis_vector():
     # a 3-cycle on coordinates spans the full space from one basis vector
-    assert spin(3, 3, [(1, 0, 0)], [(1, 2, 0)]).rank == 3
+    assert spin_perms(3, 3, [(1, 0, 0)], [(1, 2, 0)]).rank == 3
 
 
 def test_spin_no_actions_is_span():
     seeds = [(1, 2, 0), (0, 1, 1)]
-    assert spin(3, 3, seeds, []) == Subspace.span(3, 3, seeds)
+    assert spin_perms(3, 3, seeds, []) == Subspace.span(3, 3, seeds)
 
 
 def test_spin_fixes_diagonal():
-    assert spin(3, 3, [(1, 1, 1)], [(1, 2, 0)]).rank == 1
+    assert spin_perms(3, 3, [(1, 1, 1)], [(1, 2, 0)]).rank == 1
 
 
 def test_spin_result_is_invariant():
@@ -112,7 +118,7 @@ def test_spin_result_is_invariant():
         rng.shuffle(perm)
         mats = [perm_action_matrix(tuple(perm), p)]
         seeds = [tuple(rng.randrange(p) for _ in range(dim))]
-        u = spin(p, dim, seeds, [tuple(perm)])
+        u = spin_perms(p, dim, seeds, [tuple(perm)])
         for row in u.rows:
             assert u.contains(apply_map(mats[0], row, p))
 
@@ -230,4 +236,4 @@ def test_packed_kernel_matches_list_reference(p):
             rng.shuffle(q)
             perms.append(tuple(q))
         seeds = vectors(dim, rng.randrange(1, 3))
-        assert spin(p, dim, seeds, perms).rows == spin_rows(p, dim, seeds, perms)
+        assert spin_perms(p, dim, seeds, perms).rows == spin_rows(p, dim, seeds, perms)

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wreath_sylow as ws
-from reference import bfs_order, block_transport, co_shift_by_conjugates, commutator, permute, random_tail
+from reference import (
+    bfs_order,
+    block_transport,
+    co_shift_by_conjugates,
+    commutator,
+    decompose_by_fibers,
+    permute,
+    random_tail,
+)
 from wreath_sylow import oracle
 from wreath_sylow.perm import Perm, conjugate, format_cycles, parse_cycles
 from wreath_sylow.tower import (
@@ -194,6 +202,77 @@ def test_decompose_rejects_non_members():
         ws.decompose(ws.scale_gen(T33, 0), 3)
     with pytest.raises(NotInTower):
         ws.decompose(ws.scale_gen(ws.tower(3, 2), 1), 3)
+
+
+# every size of the three benchmark workloads, the deep end at p = 2, and the widest p
+DECOMPOSE_SIZES = [
+    (2, 2), (2, 3), (3, 2), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2),
+    (2, 7), (2, 8), (2, 9), (3, 5), (3, 6), (5, 4), (7, 3), (2, 12), (127, 2),
+]
+
+
+def _outcome(decomposer, x, p):
+    """The rows, or the type and full message of the ValueError raised."""
+    try:
+        return decomposer(x, p)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_decompose_matches_the_fiber_loop_on_tower_elements():
+    rng = random.Random(17)
+    for p, n in DECOMPOSE_SIZES:
+        tw = ws.tower(p, n)
+        for x in [random_element(tw, rng) for _ in range(3)] + [Perm.identity(tw.degree)]:
+            assert ws.decompose(x, p) == decompose_by_fibers(x, p), (p, n)
+
+
+def _lift(tw, k, sigma):
+    """sigma, a permutation of the p**k k-prefixes, moving whole blocks of points."""
+    m = tw.p ** (tw.n - k)
+    return Perm([sigma[a // m] * m + a % m for a in range(tw.degree)])
+
+
+def test_decompose_names_the_same_bad_block_as_the_fiber_loop():
+    # at each level p**k: a transposition of two fibers' first points (when
+    # there are two fibers) and a swap inside one fiber (p > 2: at p = 2
+    # every fiber map is a translation), lifted to the whole degree, then
+    # multiplied by tower elements on either side
+    rng = random.Random(18)
+    for p, n in DECOMPOSE_SIZES:
+        tw = ws.tower(p, n)
+        for k in range(1, n + 1):
+            fibers = p ** (k - 1)
+            b = rng.randrange(fibers)
+            bad = []
+            if fibers > 1:
+                c = b + 1 if b + 1 < fibers else b - 1
+                bad.append((f"fiber not preserved (degree {p**k}, block {min(b, c)})", b * p, c * p))
+            if p > 2:
+                bad.append((f"fiber action is not a translation (degree {p**k}, block {b})", b * p, b * p + 1))
+            for message, u, v in bad:
+                sigma = list(range(p**k))
+                sigma[u], sigma[v] = v, u
+                x = _lift(tw, k, sigma)
+                assert _outcome(ws.decompose, x, p) == (NotInTower, message)
+                for y in (random_element(tw, rng) * x, x * random_element(tw, rng)):
+                    got = _outcome(ws.decompose, y, p)
+                    assert got[0] is NotInTower
+                    assert got == _outcome(decompose_by_fibers, y, p), (p, n, k, message)
+
+
+def test_decompose_refuses_a_degree_that_is_not_a_power_alike():
+    for p, x in [
+        (2, Perm.identity(12)),
+        (3, Perm.identity(6)),
+        (2, Perm.identity(5)),
+        (5, Perm.identity(3)),
+        (2, parse_cycles("(0 2)", 12)),  # off the tower at degree 12, before degree 3 is reached
+        (3, parse_cycles("(0 1)", 18)),
+    ]:
+        got = _outcome(ws.decompose, x, p)
+        assert got == _outcome(decompose_by_fibers, x, p), (p, x)
+    assert _outcome(ws.decompose, Perm.identity(12), 2) == (ValueError, "degree 3 is not a power of 2")
 
 
 def test_portrait_round_trip_on_words():
@@ -402,3 +481,19 @@ def test_prefix_block_maps_are_the_block_transports_of_full_shifts():
 
 def test_tail_coordinate_perms_level0():
     assert tail_coordinate_perms(T33, 0) == []
+
+
+def test_returned_lists_are_the_callers_own():
+    # scale_gens is built once per tower; a caller that changes the list it
+    # got must not change what the next call returns
+    tw = ws.tower(5, 3)
+    expected = [ws.scale_gen(tw, i) for i in range(tw.n)]
+    got = ws.scale_gens(tw)
+    assert got == expected
+    got.reverse()
+    got.append(Perm.identity(tw.degree))
+    assert ws.scale_gens(tw) == expected
+    perms = tail_coordinate_perms(tw, 2)
+    expected_perms = list(perms)
+    perms.clear()
+    assert tail_coordinate_perms(tw, 2) == expected_perms

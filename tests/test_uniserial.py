@@ -6,7 +6,7 @@ import wreath_sylow as ws
 from reference import augmentation_subspace, fixed_subspace, intersect, level_sums, permute, random_tail
 from wreath_sylow.linalg import Subspace, perm_action_matrix, spin
 from wreath_sylow.perm import conjugate
-from wreath_sylow.tower import tail_coordinate_perms
+from wreath_sylow.tower import tail_coordinate_perms, tail_movers
 from wreath_sylow.uniserial import (
     STYLE_CO_SHIFT,
     STYLE_PREFIX,
@@ -27,7 +27,7 @@ def gamma_shift2_vector():
 
 
 def closure_image(tw, j, v):
-    return spin(tw.p, len(v), [v], tail_coordinate_perms(tw, j))
+    return spin(tw.p, len(v), [v], tail_movers(tw, j))
 
 
 def is_summand(tw, j, u):
@@ -99,8 +99,8 @@ def test_generates_uniserial_rejects_11_1_vector():
     # the projection condition fails at the summand outside the augmentation
     assert sum(v[:9]) % 3 != 0
     assert sum(v[9:]) % 3 == 0
-    full = spin(3, 18, [v], tail_coordinate_perms(T34, 2)).rank
-    alone = spin(3, 18, [v[:9] + (0,) * 9], tail_coordinate_perms(T34, 2)).rank
+    full = spin(3, 18, [v], tail_movers(T34, 2)).rank
+    alone = spin(3, 18, [v[:9] + (0,) * 9], tail_movers(T34, 2)).rank
     assert alone < full
     assert not generates_uniserial(T34, 2, v)
 
@@ -150,9 +150,7 @@ def test_choose_levels_socle_gap():
 
 def test_choose_levels_diagonal_pair():
     # socle line through both coordinates: only the level-2 summand complements
-    nbar_plus = spin(
-        3, 6, [(1, 0, 0, 1, 0, 0)], tail_coordinate_perms(T33, 1)
-    )
+    nbar_plus = spin(3, 6, [(1, 0, 0, 1, 0, 0)], tail_movers(T33, 1))
     choice = choose(T33, 1, nbar_plus)
     assert choice.style == STYLE_CO_SHIFT and choice.levels == (2,)
 
@@ -169,13 +167,13 @@ def test_summand_subspace_complements_choice():
     rng = random.Random(9)
     for tw, j in [(T33, 0), (T33, 1), (ws.tower(2, 3), 1), (T34, 2)]:
         dim = (tw.n - j) * tw.p**j
-        perms = tail_coordinate_perms(tw, j)
+        movers = tail_movers(tw, j)
         for _ in range(25):
             seeds = [
                 ws.tail_image(tw, j, random_tail(tw, j, rng))
                 for _ in range(rng.randrange(1, 3))
             ]
-            u = spin(tw.p, dim, seeds, perms)
+            u = spin(tw.p, dim, seeds, movers)
             if not is_summand(tw, j, u):
                 continue
             choice = choose(tw, j, u)
@@ -261,7 +259,7 @@ def test_closed_forms_match_generic_reference():
                     ws.tail_image(tw, j, random_tail(tw, j, rng))
                     for _ in range(rng.randrange(1, 3))
                 ]
-                u = spin(p, dim, seeds, perms)
+                u = spin(p, dim, seeds, tail_movers(tw, j))
                 fixed_part = intersect(u, fix)
                 mod_aug = u.sum_with(aug).rank - aug.rank
                 closed_mod_aug, closed_soc = module_invariants(tw, j, u)
