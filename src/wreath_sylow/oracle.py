@@ -6,26 +6,35 @@ elements both do), and trades cleverness for certainty: breadth-first
 element enumeration, exhaustive normal-subgroup and abelian-subgroup
 searches with canonical-set deduplication, a complement search that lifts
 the group's generators over the cosets of a normal subgroup (it refuses a
-non-normal one), and scans of full symmetric groups for centralizers.
+non-normal one, or one outside the group), and scans of full symmetric
+groups for centralizers.
 Caps guard against accidentally enumerating something huge: the searches
 refuse a group above the fixed ``SEARCH_CAP``, and ``bfs_closure`` takes a
 cap for the closures that are expected to be larger.
 
-Two pieces carry all of it:
+Three pieces carry all of it, two closure kernels and one index:
 
-- one closure kernel, ``_walk``: everything reachable from a start set by
-  a list of moves, breadth first, stopping at a cap.  The moves are right
-  multiplication (closures), conjugation (conjugacy orbits) or lookups in
-  a multiplication column (subgroups of an indexed group).
+- one element walk, ``_walk``: everything reachable from a start set by a
+  list of moves, breadth first, stopping at a cap.  It serves the
+  element-level closures (``bfs_closure``, right multiplication) and the
+  conjugacy orbits of the normal-subgroup search.
 - one indexed form of an enumerated ``GroupSet`` (``GroupSet._index``,
   built once per group): its elements numbered in sorted order, with the
   right-multiplication column of each element filled on first use and
-  stored as a compact ``array``.  The subgroup searches work on these
-  numbers and dedupe subgroups as int bitmasks; containment and meeting a
-  normal subgroup are int operations.
+  stored as a compact ``array``, and an inverse table built on first use.
+  The subgroup searches work on these numbers and dedupe subgroups as int
+  bitmasks; containment, meeting a normal subgroup and normality are int
+  operations.
+- one closure kernel for index numbers, ``_Index.closure``: the subgroup
+  that a subgroup and some moves generate, grown a whole right coset at a
+  time (Dimino's method; G. Butler, *Fundamental Algorithms for
+  Permutation Groups*, LNCS 559, 1991).  A coset costs one read per move
+  to see whether its image is new, and a new coset is read whole by one
+  map over a column.  The complement search reads its trial lifts by one
+  element product each instead of building their columns.
 
 The abelian-subgroup search reads each element's centralizer off the
-columns as one such mask, intersects them along its depth-first path, and
+columns as one int mask, intersects them along its depth-first path, and
 drops each tried coset current * g from its candidates, since every element
 of that coset closes to the same join.  The normal-subgroup search likewise
 closes each union of a subgroup and an atom only once.
@@ -106,9 +115,60 @@ class _Index:
             c = self._cols[k] = array(self._code, [pos[x * g] for x in self.elems])
         return c
 
-    def closure(self, start, gens, cap: int) -> set[int]:
-        """Numbers of the closure of the start set under right multiplication by gens."""
-        return _walk(start, [self.col(k).__getitem__ for k in gens], cap)
+    def columns(self, gens) -> list:
+        """Right multiplication by each of gens, read off its column."""
+        return [self.col(k).__getitem__ for k in gens]
+
+    def right(self, k: int):
+        """Right multiplication by elems[k]: its column once built, else one product per read."""
+        c = self._cols[k]
+        if c is not None:
+            return c.__getitem__
+        g, elems, pos = self.elems[k], self.elems, self.pos
+        return lambda i: pos[elems[i] * g]
+
+    @cached_property
+    def inv(self) -> list[int]:
+        """Number of the inverse of elems[k] at position k."""
+        pos = self.pos
+        return [pos[x.inverse()] for x in self.elems]
+
+    @staticmethod
+    def closure(start, moves, cap: int) -> set[int]:
+        """Numbers of the closure of the subgroup start under the moves, one right coset at a time.
+
+        The moves are right multiplications on numbers (``columns``, ``right``).
+        The closure of a subgroup H is a union of right cosets H r, so one read
+        of r tells whether a move takes H r to a new coset, and the new coset
+        is the move mapped over H r.  start must be a subgroup.  Raises
+        CapExceeded, as ``_walk`` does, once the closure would exceed cap.
+        """
+        coset = list(start)
+        seen = set(coset)
+        cosets = [coset]
+        for coset in cosets:
+            r = coset[0]
+            for move in moves:
+                y = move(r)
+                if y not in seen:
+                    if len(seen) + len(coset) > cap:
+                        raise CapExceeded(f"closure exceeds cap {cap}")
+                    new = [y, *map(move, itertools.islice(coset, 1, None))]
+                    seen.update(new)
+                    cosets.append(new)
+        return seen
+
+    def is_normal(self, members, gens) -> bool:
+        """Whether the subgroup numbered members is normalized by each of gens.
+
+        N g == g N as masks, where g N is the inverse of N g^-1.
+        """
+        inv, mask = self.inv, self.mask
+        return all(
+            mask(map(self.col(g).__getitem__, members))
+            == mask(map(inv.__getitem__, map(self.col(inv[g]).__getitem__, members)))
+            for g in gens
+        )
 
     @staticmethod
     def mask(members) -> int:
@@ -166,14 +226,14 @@ def _commutators_with(group: GroupSet, sub) -> GroupSet:
     """
     ix = group._index
     col = ix.col
-    inv = [col(k).index(ix.e) for k in range(len(ix.elems))]
+    inv = ix.inv
     right = [(col(b), col(inv[b])) for b in sorted(ix.pos[x] for x in sub)]
     comms = set()
     for g in range(len(ix.elems)):
         back = col(inv[g])
         comms.update(b_inv[back[b_col[g]]] for b_col, b_inv in right)
     gens = sorted(comms)
-    members = ix.closure([ix.e], gens, group.order)
+    members = ix.closure([ix.e], ix.columns(gens), group.order)
     return GroupSet(
         frozenset(ix.elems[i] for i in members), tuple(ix.elems[k] for k in gens), group.identity
     )
@@ -197,7 +257,7 @@ def all_normal_subgroups(group: GroupSet) -> list[GroupSet]:
         # conjugation orbit of x, then its multiplicative closure
         orbit = sorted(ix.pos[y] for y in _walk([x], conj, group.order))
         classified.update(orbit)
-        members = ix.closure([ix.e], orbit, group.order)
+        members = ix.closure([ix.e], ix.columns(orbit), group.order)
         atoms.setdefault(ix.mask(members), (members, tuple(orbit)))
     found = {1 << ix.e: ({ix.e}, ()), **atoms}
     closed: set[int] = set()  # unions cur_mask | a_mask already closed
@@ -210,7 +270,7 @@ def all_normal_subgroups(group: GroupSet) -> list[GroupSet]:
                 continue
             closed.add(union)
             # cur is normal, so the join is cur times <a>, generated by the union
-            join = ix.closure(cur, a_gens, group.order)
+            join = ix.closure(cur, ix.columns(a_gens), group.order)
             mask = ix.mask(join)
             if mask not in found:
                 found[mask] = (join, tuple(sorted(set(cur_gens) | set(a_gens))))
@@ -227,38 +287,44 @@ def _complements(group: GroupSet, normal: GroupSet):
     column each), keeping a lift while the closure stays within |G/N| and
     meets N only in e.  Two lifts from one coset differ by a non-identity
     element of N, so only C's own lift survives and each complement is
-    reached on exactly one path.  The search tree has up to |N| branches per
-    generator, so the cost grows with len(group.gens).
+    reached on exactly one path.  A trial lift multiplies by one element
+    product per read unless its column is already built (``_Index.right``),
+    so no column is built for it.  The search tree has up to |N| branches per generator, so the cost grows
+    with len(group.gens).
 
-    Refuses an N that is not normal, or gens that do not generate the group
-    (a normal closure's need not): the lifts would miss complements.
+    Refuses an N that is not contained in the group or not normal, or gens
+    that do not generate the group (a normal closure's need not): the lifts
+    would miss complements.
     """
     _check_size(group)
+    if not normal.elements <= group.elements:
+        raise ValueError("the subgroup is not contained in the group")
     if group.order % normal.order:
         raise ValueError("normal subgroup order does not divide the group order")
     ix = group._index
     gens = [ix.pos[g] for g in group.gens]
-    if len(ix.closure([ix.e], gens, group.order)) < group.order:
+    if len(ix.closure([ix.e], ix.columns(gens), group.order)) < group.order:
         raise ValueError("the group's gens do not generate it")
-    if not is_normal_under(normal, group.gens):
+    in_normal = sorted(ix.pos[x] for x in normal.elements)
+    if not ix.is_normal(in_normal, gens):
         raise ValueError("the subgroup is not normal in the group")
     target = group.order // normal.order
-    in_normal = sorted(ix.pos[x] for x in normal.elements)
     n_mask = ix.mask(in_normal)
 
-    def lift(current: set, chosen: tuple):
+    def lift(current: set, chosen: tuple, moves: list):
         if len(current) == target:
             yield current, chosen
             return
         for y in map(ix.col(gens[len(chosen)]).__getitem__, in_normal):
+            grown_moves = moves + [ix.right(y)]
             try:
-                grown = ix.closure(current, chosen + (y,), target)
+                grown = ix.closure(current, grown_moves, target)
             except CapExceeded:
                 continue
             if (ix.mask(grown) & n_mask).bit_count() == 1:
-                yield from lift(grown, chosen + (y,))
+                yield from lift(grown, chosen + (y,), grown_moves)
 
-    yield from lift({ix.e}, ())
+    yield from lift({ix.e}, (), [])
 
 
 def exhaustive_complements(group: GroupSet, normal: GroupSet) -> list[GroupSet]:
@@ -328,7 +394,7 @@ def all_abelian_subgroups(group: GroupSet) -> list[GroupSet]:
         while candidates:
             g = (candidates & -candidates).bit_length() - 1
             candidates &= ~ix.mask(map(ix.col(g).__getitem__, current))
-            grown = ix.closure(current, (g,), group.order)  # current times <g>
+            grown = ix.closure(current, ix.columns((g,)), group.order)  # current times <g>
             grown_mask = ix.mask(grown)
             if grown_mask in found:
                 continue

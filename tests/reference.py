@@ -39,6 +39,8 @@ outside N and the current subgroup as the next generator, with a memo of
 the subgroups already reached.  ``abelian_subgroups_by_scan`` is the
 abelian-subgroup search before it read centralizers off int masks: it
 tests every element against the current gens and closes each join anew.
+Both close subgroups with ``walk_closure``, an element walk over the index
+columns, so they share no closure kernel with the searches they check.
 """
 
 import bisect
@@ -397,6 +399,11 @@ def verify_complement_all_conjugates(handle, decision) -> Certificate:
     return Certificate(checks, numbers)
 
 
+def walk_closure(ix, start, gens, cap: int) -> set[int]:
+    """Numbers of the closure of start under the index columns of gens, one element at a time."""
+    return oracle._walk(start, ix.columns(gens), cap)
+
+
 def complements_by_extension(
     group: GroupSet,
     normal: GroupSet,
@@ -428,7 +435,7 @@ def complements_by_extension(
             if blocked >> g & 1 or target % orders[g]:
                 continue
             try:
-                grown = ix.closure(current, gens + (g,), target)
+                grown = walk_closure(ix, current, gens + (g,), target)
             except CapExceeded:
                 continue
             grown_mask = ix.mask(grown)
@@ -472,7 +479,7 @@ def abelian_subgroups_by_scan(group: GroupSet) -> list[GroupSet]:
             col = ix.col(g)
             if any(ix.col(h)[g] != col[h] for h in gens):
                 continue
-            grown = ix.closure(current, (g,), group.order)
+            grown = walk_closure(ix, current, (g,), group.order)
             grown_mask = ix.mask(grown)
             if grown_mask in found:
                 continue

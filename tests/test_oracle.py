@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 import wreath_sylow as ws
+from wreath_sylow import oracle
 from wreath_sylow.oracle import (
     CapExceeded,
     GroupSet,
@@ -285,6 +286,114 @@ def test_complement_search_rejects_non_normal_subgroup():
     for search in (exhaustive_complements, has_complement):
         with pytest.raises(ValueError, match="not normal"):
             search(group, sub)
+
+
+def test_complement_search_rejects_subgroup_outside_the_group(enumerated):
+    # N is normalized by G's gens, but its elements are not G's: refused before any lookup
+    tw = ws.tower(2, 3)
+    group = bfs_closure([ws.shift_gen(tw, 0)])
+    normal = next(s for s in enumerated[(2, 3)]["normals"] if s.order == 2)
+    assert is_normal_under(normal, group.gens)
+    assert not normal.elements <= group.elements
+    for search in (exhaustive_complements, has_complement):
+        with pytest.raises(ValueError, match="not contained in the group"):
+            search(group, normal)
+
+
+def test_index_normality_matches_conjugation(enumerated):
+    # every abelian subgroup, most of them not normal
+    for key in [(2, 3), (3, 2)]:
+        group = enumerated[key]["group"]
+        ix = group._index
+        gens = [ix.pos[g] for g in group.gens]
+        subgroups = all_abelian_subgroups(group)
+        verdicts = [
+            ix.is_normal(sorted(ix.pos[x] for x in sub.elements), gens) for sub in subgroups
+        ]
+        assert verdicts == [is_normal_under(sub, group.gens) for sub in subgroups]
+        assert any(verdicts) and not all(verdicts)
+        for sub, normal in zip(subgroups, verdicts):
+            if not normal:
+                with pytest.raises(ValueError, match="not normal"):
+                    has_complement(group, sub)
+
+
+def test_mod9_complement_search_builds_no_column_per_lift(monkeypatch):
+    # the lifts are read by products: one column per gen and one per gen inverse
+    group, normal = list(_gallery_pairs())[1]
+    products = 0
+    times = Mod9Elem.__mul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return times(a, b)
+
+    monkeypatch.setattr(Mod9Elem, "__mul__", counted)
+    assert len(exhaustive_complements(group, normal)) == 54
+    built = sum(c is not None for c in group._index._cols)
+    assert built == 2 * len(group.gens) == 6
+    assert products < 2000
+
+
+def _closures_agree(ix, start, gens, cap):
+    moves = ix.columns(gens)
+    walked = oracle._walk(start, moves, cap)
+    assert ix.closure(start, moves, cap) == walked
+    return walked
+
+
+def test_coset_closure_matches_element_walk(enumerated):
+    for data in enumerated.values():
+        group = data["group"]
+        ix = group._index
+        members = [sorted(ix.pos[x] for x in sub.elements) for sub in data["normals"]]
+        # the atoms of the normal-subgroup search: conjugacy classes, each closed alone
+        classes = {
+            tuple(sorted({ix.pos[g * x * g.inverse()] for g in group.elements}))
+            for x in group.elements
+        }
+        for orbit in classes:
+            _closures_agree(ix, [ix.e], orbit, group.order)
+            for normal in members:
+                _closures_agree(ix, normal, orbit, group.order)
+    # every step of the abelian-subgroup search at (2,3): a subgroup and a centralizing g
+    group = enumerated[(2, 3)]["group"]
+    ix = group._index
+    steps = 0
+    for sub in all_abelian_subgroups(group):
+        members = [ix.pos[x] for x in sub.elements]
+        for g in set(range(len(ix.elems))) - set(members):
+            if all(ix.col(h)[g] == ix.col(g)[h] for h in members):
+                _closures_agree(ix, members, [g], group.order)
+                steps += 1
+    assert steps == 4389
+    # the gallery groups: each element alone and joined to the normal subgroup
+    for group, normal in _gallery_pairs():
+        ix = group._index
+        in_normal = [ix.pos[x] for x in normal.elements]
+        for k in range(len(ix.elems)):
+            _closures_agree(ix, [ix.e], [k], group.order)
+            _closures_agree(ix, in_normal, [k], group.order)
+        gens = [ix.pos[g] for g in group.gens]
+        assert len(_closures_agree(ix, [ix.e], gens, group.order)) == group.order
+
+
+def test_coset_closure_cap_boundary(enumerated):
+    # a closure of exactly cap elements passes, one larger raises as the walk does
+    group = enumerated[(2, 3)]["group"]
+    ix = group._index
+    gens = [ix.pos[g] for g in group.gens]
+    for sub in enumerated[(2, 3)]["normals"][:-1]:  # all but the group itself
+        start = [ix.pos[x] for x in sub.elements]
+        moves = ix.columns(gens)
+        assert len(ix.closure(start, moves, group.order)) == group.order
+        messages = []
+        for kernel in (ix.closure, oracle._walk):
+            with pytest.raises(CapExceeded) as raised:
+                kernel(start, moves, group.order - 1)
+            messages.append(str(raised.value))
+        assert messages == [f"closure exceeds cap {group.order - 1}"] * 2
 
 
 def test_complement_search_rejects_gens_that_do_not_generate():
