@@ -239,10 +239,12 @@ def cmd_oracle(args) -> int:
             ],
         )
         return 0
-    # centralizer: the scans refuse a large degree before anything is enumerated
-    families = (base_translations(tw), shift_gens(tw))
-    cz_base, cz_tower = (oracle.centralizer_in_sym(gens, tw.degree) for gens in families)
-    base_group, tower_set = (oracle.bfs_closure(gens) for gens in families)
+    # centralizer: the tower scan refuses a large degree before the base translations are built
+    tower_gens = shift_gens(tw)
+    cz_tower = oracle.centralizer_in_sym(tower_gens, tw.degree)
+    base_gens = base_translations(tw)
+    cz_base = oracle.centralizer_in_sym(base_gens, tw.degree)
+    base_group, tower_set = oracle.bfs_closure(base_gens), oracle.bfs_closure(tower_gens)
     report = {
         "schema": 1,
         "p": tw.p,

@@ -130,29 +130,32 @@ def _orbit_type(complements: list[GroupSet], f) -> list[int]:
     return sorted(lengths, reverse=True)
 
 
+def _report(group: GroupSet, normal: GroupSet, f) -> tuple[list[GroupSet], dict]:
+    """The complements of the normal subgroup, and the report keys both galleries share."""
+    complements = exhaustive_complements(group, normal)
+    invariant = [c for c in complements if frozenset(map(f, c.elements)) == c.elements]
+    return complements, {
+        "group_order": group.order,
+        "normal_order": normal.order,
+        "normal_is_normal": is_normal_under(normal, group.gens),
+        "normal_invariant": frozenset(map(f, normal.elements)) == normal.elements,
+        "automorphism_ok": _is_automorphism(group, f),
+        "complement_count": len(complements),
+        "invariant_complements": len(invariant),
+        "maschke_property_holds": bool(invariant),
+    }
+
+
 def gallery_quaternion_central() -> dict:
     """Report on the order 16 central product and its order 3 automorphism."""
     i, j, x = QCUnit(0, 1, 0), QCUnit(0, 2, 0), QCUnit(0, 0, 1)
     group = bfs_closure([i, j, x], identity=_QC_ONE)
     normal = bfs_closure([i, j], identity=_QC_ONE)
-    complements = exhaustive_complements(group, normal)
-    phi_cubed = all(
-        _qc_phi(_qc_phi(_qc_phi(g))) == g for g in group.elements
-    )
-    invariant = [
-        c for c in complements if frozenset(_qc_phi(g) for g in c.elements) == c.elements
-    ]
-    return {
-        "group_order": group.order,
-        "normal_order": normal.order,
-        "normal_is_normal": is_normal_under(normal, group.gens),
-        "normal_invariant": frozenset(_qc_phi(g) for g in normal.elements) == normal.elements,
-        "automorphism_ok": _is_automorphism(group, _qc_phi) and phi_cubed,
-        "complement_count": len(complements),
-        "orbit_type": _orbit_type(complements, _qc_phi),
-        "invariant_complements": len(invariant),
-        "maschke_property_holds": bool(invariant),
-    }
+    complements, report = _report(group, normal, _qc_phi)
+    phi_cubed = all(_qc_phi(_qc_phi(_qc_phi(g))) == g for g in group.elements)
+    report["automorphism_ok"] = report["automorphism_ok"] and phi_cubed
+    report["orbit_type"] = _orbit_type(complements, _qc_phi)
+    return report
 
 
 def gallery_mod9() -> dict:
@@ -160,35 +163,16 @@ def gallery_mod9() -> dict:
     e = Mod9Elem(0, 0, 0)
     x = Mod9Elem(0, 0, 1)
     group = bfs_closure([Mod9Elem(1, 0, 0), Mod9Elem(0, 1, 0), x], cap=300, identity=e)
-    # the derived subgroup is the v1 = 0 mod 3 translation plane
-    derived_plane = [
-        Mod9Elem(v1, v2, 0) for v1 in (0, 3, 6) for v2 in range(9)
-    ]
-    normal = bfs_closure(derived_plane + [x], cap=300, identity=e)
-    complements = exhaustive_complements(group, normal)
-    order3 = all(
+    # the derived subgroup is the v1 = 0 mod 3 translation plane, generated by (3, 0) and (0, 1)
+    normal = bfs_closure([Mod9Elem(3, 0, 0), Mod9Elem(0, 1, 0), x], cap=300, identity=e)
+    complements, report = _report(group, normal, _mod9_alpha)
+    report["twist_elements_order3"] = all(
         (Mod9Elem(v1, v2, 1) * Mod9Elem(v1, v2, 1)) * Mod9Elem(v1, v2, 1) == e
         for v1 in range(9)
         for v2 in range(9)
     )
-    invariant = [
-        c
-        for c in complements
-        if frozenset(_mod9_alpha(g) for g in c.elements) == c.elements
-    ]
-    alpha_pairs = all(
-        frozenset(_mod9_alpha(g) for g in c.elements) in {d.elements for d in complements}
-        for c in complements
+    sets = {c.elements for c in complements}
+    report["alpha_permutes_complements"] = all(
+        frozenset(map(_mod9_alpha, c.elements)) in sets for c in complements
     )
-    return {
-        "group_order": group.order,
-        "normal_order": normal.order,
-        "normal_is_normal": is_normal_under(normal, group.gens),
-        "normal_invariant": frozenset(_mod9_alpha(g) for g in normal.elements) == normal.elements,
-        "automorphism_ok": _is_automorphism(group, _mod9_alpha),
-        "twist_elements_order3": order3,
-        "complement_count": len(complements),
-        "alpha_permutes_complements": alpha_pairs,
-        "invariant_complements": len(invariant),
-        "maschke_property_holds": bool(invariant),
-    }
+    return report

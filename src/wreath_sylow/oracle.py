@@ -2,8 +2,8 @@
 
 Everything here works on plain element objects that support ``*``,
 ``.inverse()``, hashing and ordering (permutations and the gallery group
-elements both do), and trades cleverness for certainty: breadth-first
-element enumeration, exhaustive normal-subgroup and abelian-subgroup
+elements both do), and trades cleverness for certainty: element
+enumeration by cosets, exhaustive normal-subgroup and abelian-subgroup
 searches with canonical-set deduplication, a complement search that lifts
 the group's generators over the cosets of a normal subgroup (it refuses a
 non-normal one, or one outside the group), and scans of full symmetric
@@ -12,26 +12,24 @@ Caps guard against accidentally enumerating something huge: the searches
 refuse a group above the fixed ``SEARCH_CAP``, and ``bfs_closure`` takes a
 cap for the closures that are expected to be larger.
 
-Three pieces carry all of it, two closure kernels and one index:
+Two pieces carry all of it, one closure kernel and one index:
 
-- one element walk, ``_walk``: everything reachable from a start set by a
-  list of moves, breadth first, stopping at a cap.  It serves the
-  element-level closures (``bfs_closure``, right multiplication) and the
-  conjugacy orbits of the normal-subgroup search.
+- one closure kernel, ``_closure``: everything that a list of moves
+  reaches from a start, grown a whole right coset at a time (Dimino's
+  method; G. Butler, *Fundamental Algorithms for Permutation Groups*, LNCS
+  559, 1991) and stopping at a cap.  It serves element closures
+  (``bfs_closure``, right multiplication by each generator in turn), the
+  subgroup closures of the searches on index numbers, and the conjugacy
+  orbits of the normal-subgroup search, where the start is one point.
 - one indexed form of an enumerated ``GroupSet`` (``GroupSet._index``,
   built once per group): its elements numbered in sorted order, with the
   right-multiplication column of each element filled on first use and
   stored as a compact ``array``, and an inverse table built on first use.
   The subgroup searches work on these numbers and dedupe subgroups as int
   bitmasks; containment, meeting a normal subgroup and normality are int
-  operations.
-- one closure kernel for index numbers, ``_Index.closure``: the subgroup
-  that a subgroup and some moves generate, grown a whole right coset at a
-  time (Dimino's method; G. Butler, *Fundamental Algorithms for
-  Permutation Groups*, LNCS 559, 1991).  A coset costs one read per move
-  to see whether its image is new, and a new coset is read whole by one
-  map over a column.  The complement search reads its trial lifts by one
-  element product each instead of building their columns.
+  operations, and conjugation is two column reads and two inverse reads.
+  The complement search reads its trial lifts by one element product each
+  instead of building their columns.
 
 The abelian-subgroup search reads each element's centralizer off the
 columns as one int mask, intersects them along its depth-first path, and
@@ -60,20 +58,29 @@ class CapExceeded(RuntimeError):
     pass
 
 
-def _walk(start, moves, cap: int, what: str = "closure") -> set:
-    """Everything reachable from start by the moves (unary functions), breadth first."""
-    seen = set(start)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
+def _closure(start, moves, cap: int) -> set:
+    """Everything that the moves (unary functions) reach from start, one right coset at a time.
+
+    It serves three starts.  A subgroup H under right multiplications: the
+    closure is a union of right cosets H r, so one read of r tells whether a
+    move takes H r to a new coset, and the new coset is the move mapped over
+    H r.  ``{e}``, which gives the group that the moves generate.  A single
+    point under any moves: every coset is one point, so this walks the
+    point's orbit.  Raises CapExceeded once the closure would exceed cap.
+    """
+    coset = list(start)
+    seen = set(coset)
+    cosets = [coset]
+    for coset in cosets:
+        r = coset[0]
         for move in moves:
-            for y in map(move, frontier):
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"{what} exceeds cap {cap}")
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+            y = move(r)
+            if y not in seen:
+                if len(seen) + len(coset) > cap:
+                    raise CapExceeded(f"closure exceeds cap {cap}")
+                new = [y, *map(move, itertools.islice(coset, 1, None))]
+                seen.update(new)
+                cosets.append(new)
     return seen
 
 
@@ -133,30 +140,13 @@ class _Index:
         pos = self.pos
         return [pos[x.inverse()] for x in self.elems]
 
-    @staticmethod
-    def closure(start, moves, cap: int) -> set[int]:
-        """Numbers of the closure of the subgroup start under the moves, one right coset at a time.
+    def conjugations(self, gens) -> list:
+        """Conjugation y -> g^-1 y g by each of gens, read off its column and the inverses.
 
-        The moves are right multiplications on numbers (``columns``, ``right``).
-        The closure of a subgroup H is a union of right cosets H r, so one read
-        of r tells whether a move takes H r to a new coset, and the new coset
-        is the move mapped over H r.  start must be a subgroup.  Raises
-        CapExceeded, as ``_walk`` does, once the closure would exceed cap.
+        y -> inv[col(g)[y]] is y -> (y g)^-1 = g^-1 y^-1, and twice it is g^-1 y g.
         """
-        coset = list(start)
-        seen = set(coset)
-        cosets = [coset]
-        for coset in cosets:
-            r = coset[0]
-            for move in moves:
-                y = move(r)
-                if y not in seen:
-                    if len(seen) + len(coset) > cap:
-                        raise CapExceeded(f"closure exceeds cap {cap}")
-                    new = [y, *map(move, itertools.islice(coset, 1, None))]
-                    seen.update(new)
-                    cosets.append(new)
-        return seen
+        inv = self.inv
+        return [lambda y, c=self.col(g).__getitem__: inv[c(inv[c(y)])] for g in gens]
 
     def is_normal(self, members, gens) -> bool:
         """Whether the subgroup numbered members is normalized by each of gens.
@@ -199,10 +189,17 @@ def _identity_of(gens: Sequence, identity):
 
 
 def bfs_closure(gens: Sequence, cap: int = BFS_CAP, identity=None) -> GroupSet:
-    """Multiplicative closure of the generators, breadth first."""
+    """Multiplicative closure of the generators, by right cosets (Dimino's method).
+
+    <g_0..g_k> is grown from <g_0..g_k-1> by ``_closure``.  Raises
+    CapExceeded exactly when the closure has more than cap elements.
+    """
     e = _identity_of(gens, identity)
-    seen = _walk([e], [lambda x, g=g: x * g for g in gens], cap)
-    return GroupSet(frozenset(seen), tuple(gens), e)
+    moves = [lambda x, g=g: x * g for g in gens]
+    members = {e}
+    for k in range(len(moves)):
+        members = _closure(members, moves[: k + 1], cap)
+    return GroupSet(frozenset(members), tuple(gens), e)
 
 
 def element_order(g, identity) -> int:
@@ -233,7 +230,7 @@ def _commutators_with(group: GroupSet, sub) -> GroupSet:
         back = col(inv[g])
         comms.update(b_inv[back[b_col[g]]] for b_col, b_inv in right)
     gens = sorted(comms)
-    members = ix.closure([ix.e], ix.columns(gens), group.order)
+    members = _closure([ix.e], ix.columns(gens), group.order)
     return GroupSet(
         frozenset(ix.elems[i] for i in members), tuple(ix.elems[k] for k in gens), group.identity
     )
@@ -248,16 +245,16 @@ def all_normal_subgroups(group: GroupSet) -> list[GroupSet]:
     """Every normal subgroup, as the join closure of cyclic normal closures."""
     _check_size(group)
     ix = group._index
-    conj = [lambda y, g=g, gi=g.inverse(): g * y * gi for g in group.gens]
+    conj = ix.conjugations([ix.pos[g] for g in group.gens])
     atoms: dict[int, tuple] = {}  # mask -> (members, gens)
     classified: set[int] = set()
-    for k, x in enumerate(ix.elems):
+    for k in range(len(ix.elems)):
         if k == ix.e or k in classified:
             continue
-        # conjugation orbit of x, then its multiplicative closure
-        orbit = sorted(ix.pos[y] for y in _walk([x], conj, group.order))
+        # conjugacy class of k, then its multiplicative closure
+        orbit = sorted(_closure([k], conj, group.order))
         classified.update(orbit)
-        members = ix.closure([ix.e], ix.columns(orbit), group.order)
+        members = _closure([ix.e], ix.columns(orbit), group.order)
         atoms.setdefault(ix.mask(members), (members, tuple(orbit)))
     found = {1 << ix.e: ({ix.e}, ()), **atoms}
     closed: set[int] = set()  # unions cur_mask | a_mask already closed
@@ -270,7 +267,7 @@ def all_normal_subgroups(group: GroupSet) -> list[GroupSet]:
                 continue
             closed.add(union)
             # cur is normal, so the join is cur times <a>, generated by the union
-            join = ix.closure(cur, ix.columns(a_gens), group.order)
+            join = _closure(cur, ix.columns(a_gens), group.order)
             mask = ix.mask(join)
             if mask not in found:
                 found[mask] = (join, tuple(sorted(set(cur_gens) | set(a_gens))))
@@ -303,7 +300,7 @@ def _complements(group: GroupSet, normal: GroupSet):
         raise ValueError("normal subgroup order does not divide the group order")
     ix = group._index
     gens = [ix.pos[g] for g in group.gens]
-    if len(ix.closure([ix.e], ix.columns(gens), group.order)) < group.order:
+    if len(_closure([ix.e], ix.columns(gens), group.order)) < group.order:
         raise ValueError("the group's gens do not generate it")
     in_normal = sorted(ix.pos[x] for x in normal.elements)
     if not ix.is_normal(in_normal, gens):
@@ -318,7 +315,7 @@ def _complements(group: GroupSet, normal: GroupSet):
         for y in map(ix.col(gens[len(chosen)]).__getitem__, in_normal):
             grown_moves = moves + [ix.right(y)]
             try:
-                grown = ix.closure(current, grown_moves, target)
+                grown = _closure(current, grown_moves, target)
             except CapExceeded:
                 continue
             if (ix.mask(grown) & n_mask).bit_count() == 1:
@@ -394,7 +391,7 @@ def all_abelian_subgroups(group: GroupSet) -> list[GroupSet]:
         while candidates:
             g = (candidates & -candidates).bit_length() - 1
             candidates &= ~ix.mask(map(ix.col(g).__getitem__, current))
-            grown = ix.closure(current, ix.columns((g,)), group.order)  # current times <g>
+            grown = _closure(current, ix.columns((g,)), group.order)  # current times <g>
             grown_mask = ix.mask(grown)
             if grown_mask in found:
                 continue

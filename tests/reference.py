@@ -2,7 +2,9 @@
 
 Dense linear algebra (``fixed_subspace``, ``augmentation_subspace``,
 ``intersect``) for the invariants that ``uniserial`` reads off in closed
-form; brute-force groups (``normal_closure``, ``derived_subgroup_from_gens``,
+form; ``walk``, the breadth-first element walk that the oracle's closures
+used before they grew by right cosets, one element per move and read;
+brute-force groups (``normal_closure``, ``derived_subgroup_from_gens``,
 ``center``, and ``bfs_order`` and ``normal_closure_order``, which count the
 3^13 elements at p = 3, n = 3 by walking packed images); ``member``, and
 ``random_tail``, a random element of the level-j tail.
@@ -286,6 +288,23 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.span(a.p, a.dim, vecs)
 
 
+def walk(start, moves, cap: int, what: str = "closure") -> set:
+    """Everything reachable from start by the moves (unary functions), breadth first."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for move in moves:
+            for y in map(move, frontier):
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"{what} exceeds cap {cap}")
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def normal_closure(gens: Sequence, ambient_gens: Sequence, cap: int = oracle.BFS_CAP, identity=None) -> GroupSet:
     """Smallest subgroup containing gens and closed under ambient conjugation.
 
@@ -297,7 +316,7 @@ def normal_closure(gens: Sequence, ambient_gens: Sequence, cap: int = oracle.BFS
     e = oracle._identity_of(tuple(gens) + tuple(ambient_gens), identity)
     moves = [lambda x, g=g: x * g for g in gens]
     moves += [lambda x, a=a, ai=a.inverse(): a * x * ai for a in ambient_gens]
-    seen = oracle._walk([e], moves, cap, "normal closure")
+    seen = walk([e], moves, cap, "normal closure")
     return GroupSet(frozenset(seen), tuple(gens), e)
 
 
@@ -328,7 +347,7 @@ def bfs_order(gens: Sequence[Perm], cap: int = 2**21) -> int:
     if not gens:
         return 1
     moves = [methodcaller("translate", t) for t in _translation_tables(gens)]
-    return len(oracle._walk([bytes(range(gens[0].degree))], moves, cap))
+    return len(walk([bytes(range(gens[0].degree))], moves, cap))
 
 
 def normal_closure_order(gens: Sequence[Perm], ambient_gens: Sequence[Perm], cap: int = 2**21) -> int:
@@ -340,7 +359,7 @@ def normal_closure_order(gens: Sequence[Perm], ambient_gens: Sequence[Perm], cap
         lambda x, t=t, ai=a.inverse().images: bytes(map(x.translate(t).__getitem__, ai))
         for a, t in zip(ambient_gens, _translation_tables(ambient_gens))
     ]
-    return len(oracle._walk([bytes(range(gens[0].degree))], moves, cap, "normal closure"))
+    return len(walk([bytes(range(gens[0].degree))], moves, cap, "normal closure"))
 
 
 def verify_complement_all_conjugates(handle, decision) -> Certificate:
@@ -401,7 +420,7 @@ def verify_complement_all_conjugates(handle, decision) -> Certificate:
 
 def walk_closure(ix, start, gens, cap: int) -> set[int]:
     """Numbers of the closure of start under the index columns of gens, one element at a time."""
-    return oracle._walk(start, ix.columns(gens), cap)
+    return walk(start, ix.columns(gens), cap)
 
 
 def complements_by_extension(

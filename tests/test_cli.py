@@ -333,6 +333,17 @@ def test_cli_oracle_centralizer_refuses_degree_before_enumerating(capsys, closur
     assert closures == []
 
 
+def test_cli_oracle_centralizer_refuses_degree_before_base_translations(capsys, monkeypatch):
+    # the tower scan refuses first: p^(n-1) full-degree base translations are never built
+    built = []
+    monkeypatch.setattr(cli, "base_translations", lambda tw: built.append(tw))
+    start = time.perf_counter()
+    assert main(["oracle", "centralizer", "--p", "2", "--n", "12"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == "error: degree 4096 exceeds scan cap 9\n"
+    assert built == []
+
+
 def test_cli_oracle_abelian_max_refuses_order_before_enumerating(capsys, closures):
     assert main(["oracle", "abelian-max", "--p", "2", "--n", "4"]) == 2
     assert "group order 32768 exceeds cap 4096" in capsys.readouterr().err

@@ -90,6 +90,30 @@ def test_mod9_derived_subgroup_is_the_plane():
     assert derived.elements == frozenset(plane)
 
 
+def test_mod9_normal_subgroup_from_three_generators():
+    # (3, 0), (0, 1) and x generate what the 27-point plane and x generate
+    e, x = Mod9Elem(0, 0, 0), Mod9Elem(0, 0, 1)
+    plane = [Mod9Elem(v1, v2, 0) for v1 in (0, 3, 6) for v2 in range(9)]
+    three = bfs_closure([Mod9Elem(3, 0, 0), Mod9Elem(0, 1, 0), x], cap=300, identity=e)
+    assert three.elements == bfs_closure(plane + [x], cap=300, identity=e).elements
+    assert three.order == 81
+
+
+def test_gallery_mod9_products_per_call(monkeypatch):
+    products = 0
+    times = Mod9Elem.__mul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return times(a, b)
+
+    monkeypatch.setattr(Mod9Elem, "__mul__", counted)
+    for calls in (1, 2):
+        assert gallery_mod9()["complement_count"] == 54
+        assert products <= 4500 * calls
+
+
 def test_gallery_mod9_report():
     report = gallery_mod9()
     assert report["group_order"] == 243

@@ -27,6 +27,7 @@ from reference import (
     derived_subgroup_from_gens,
     fixed_subspace,
     normal_closure,
+    walk,
 )
 from wreath_sylow.gallery import Mod9Elem, QCUnit
 from wreath_sylow.perm import Perm, parse_cycles
@@ -318,28 +319,32 @@ def test_index_normality_matches_conjugation(enumerated):
                     has_complement(group, sub)
 
 
+def _count_products(monkeypatch, cls) -> list:
+    counter = [0]
+    times = cls.__mul__
+
+    def counted(a, b):
+        counter[0] += 1
+        return times(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    return counter
+
+
 def test_mod9_complement_search_builds_no_column_per_lift(monkeypatch):
     # the lifts are read by products: one column per gen and one per gen inverse
     group, normal = list(_gallery_pairs())[1]
-    products = 0
-    times = Mod9Elem.__mul__
-
-    def counted(a, b):
-        nonlocal products
-        products += 1
-        return times(a, b)
-
-    monkeypatch.setattr(Mod9Elem, "__mul__", counted)
+    products = _count_products(monkeypatch, Mod9Elem)
     assert len(exhaustive_complements(group, normal)) == 54
     built = sum(c is not None for c in group._index._cols)
     assert built == 2 * len(group.gens) == 6
-    assert products < 2000
+    assert products[0] < 2000
 
 
 def _closures_agree(ix, start, gens, cap):
     moves = ix.columns(gens)
-    walked = oracle._walk(start, moves, cap)
-    assert ix.closure(start, moves, cap) == walked
+    walked = walk(start, moves, cap)
+    assert oracle._closure(start, moves, cap) == walked
     return walked
 
 
@@ -387,13 +392,73 @@ def test_coset_closure_cap_boundary(enumerated):
     for sub in enumerated[(2, 3)]["normals"][:-1]:  # all but the group itself
         start = [ix.pos[x] for x in sub.elements]
         moves = ix.columns(gens)
-        assert len(ix.closure(start, moves, group.order)) == group.order
+        assert len(oracle._closure(start, moves, group.order)) == group.order
         messages = []
-        for kernel in (ix.closure, oracle._walk):
+        for kernel in (oracle._closure, walk):
             with pytest.raises(CapExceeded) as raised:
                 kernel(start, moves, group.order - 1)
             messages.append(str(raised.value))
         assert messages == [f"closure exceeds cap {group.order - 1}"] * 2
+
+
+def _generator_sets(enumerated):
+    # (gens, identity): the shift generators, the gallery groups and their normal
+    # subgroups, and the gens of every normal subgroup at (2,3)
+    for data in enumerated.values():
+        group = data["group"]
+        yield group.gens, group.identity
+    for pair in _gallery_pairs():
+        for group in pair:
+            yield group.gens, group.identity
+    for sub in enumerated[(2, 3)]["normals"]:
+        yield sub.gens, sub.identity
+
+
+def test_bfs_closure_matches_element_walk(enumerated):
+    # the same elements; a cap of exactly |G| passes, and |G| - 1 raises the walk's message
+    sets = list(_generator_sets(enumerated))
+    assert len(sets) == 3 + 4 + 28
+    for gens, e in sets:
+        moves = [lambda x, g=g: x * g for g in gens]
+        walked = walk([e], moves, oracle.BFS_CAP)
+        assert bfs_closure(gens, cap=len(walked), identity=e).elements == walked
+        if len(walked) == 1:
+            continue
+        cap = len(walked) - 1
+        messages = []
+        for closure in (lambda: bfs_closure(gens, cap, e), lambda: walk([e], moves, cap)):
+            with pytest.raises(CapExceeded) as raised:
+                closure()
+            messages.append(str(raised.value))
+        assert messages == [f"closure exceeds cap {cap}"] * 2
+
+
+def test_index_orbits_are_conjugacy_classes(enumerated):
+    groups = [data["group"] for data in enumerated.values()]
+    groups += [group for group, _ in _gallery_pairs()]
+    for group in groups:
+        ix = group._index
+        conj = ix.conjugations([ix.pos[g] for g in group.gens])
+        for k, x in enumerate(ix.elems):
+            cls = {ix.pos[g * x * g.inverse()] for g in group.elements}
+            assert oracle._closure([k], conj, group.order) == cls
+
+
+def test_all_normal_subgroups_makes_no_product_on_a_warm_index(enumerated, monkeypatch):
+    group = enumerated[(2, 3)]["group"]
+    expected = all_normal_subgroups(group)
+    products = _count_products(monkeypatch, Perm)
+    assert all_normal_subgroups(group) == expected
+    assert products == [0]
+
+
+def test_bfs_closure_products_by_cosets(monkeypatch):
+    # one product per element added and one per generator read of each coset
+    gens = ws.shift_gens(ws.tower(2, 3))
+    products = _count_products(monkeypatch, Perm)
+    group = bfs_closure(gens)
+    assert group.order == 128
+    assert products[0] <= 2 * group.order
 
 
 def test_complement_search_rejects_gens_that_do_not_generate():
