@@ -128,8 +128,7 @@ def cmd_partition(args) -> int:
     }
     if normal:
         closed_form = partition.partition_has_complement(spec)
-        gens = partition.partition_generators(tw, spec)
-        handle = complements.closure_handle(tw, gens)
+        handle = complements.closure_handle(tw, partition.module_generators(tw, spec))
         decision = complements.decide(handle)
         report["has_complement"] = closed_form
         report["engine_crosscheck"] = {

@@ -32,7 +32,7 @@ and commutation), and the scaling identities.  The conjugates are not
 built: the level-j tail is the direct product of p**j height-(n-j) towers,
 a prefix shift moves the blocks rigidly, so a tail generator's conjugates
 are its block-0 piece on each block.  Each distinct piece is decomposed
-once, in the height-(n-j) tower.
+once, and its local image is its rows' sums mod p.
 """
 
 from __future__ import annotations
@@ -50,10 +50,8 @@ from .tower import (
     portrait_depth,
     portrait_tail_image,
     scale_gens,
-    shift_gen,
     shift_gens,
     tail_movers,
-    tower,
 )
 from .uniserial import STYLE_CO_SHIFT, levels_from_socle, module_invariants
 
@@ -116,7 +114,7 @@ def decide(handle: NormalClosure) -> Decision:
     """
     tw, j = handle.tower, handle.j
     if j == tw.n:
-        return Decision(True, STYLE_CO_SHIFT, (), tuple(shift_gens(tw)))
+        return Decision(True, STYLE_CO_SHIFT, (), shift_gens(tw))
     mod_aug, soc = module_invariants(tw, j, handle.image)
     if mod_aug != soc.rank:
         return Decision(
@@ -136,11 +134,10 @@ def decide(handle: NormalClosure) -> Decision:
             data={"socle_coordinates": [list(r) for r in soc.rows]},
         )
     if choice.style == STYLE_CO_SHIFT:
-        gens = [shift_gen(tw, i) for i in range(j)]
-        gens += [co_shift_gen(tw, i) for i in choice.levels]
+        gens = shift_gens(tw)[:j] + tuple(co_shift_gen(tw, i) for i in choice.levels)
     else:
-        gens = [shift_gen(tw, i) for i in range(j + 1)]
-    return Decision(True, choice.style, choice.levels, tuple(gens))
+        gens = shift_gens(tw)[: j + 1]
+    return Decision(True, choice.style, choice.levels, gens)
 
 
 def complement_order_exponent(handle: NormalClosure, decision: Decision) -> int:
@@ -238,7 +235,7 @@ def _conjugate_images(
     wrong, or when a tail generator is not of that form.
     """
     p, blocks, size = tw.p, tw.p**j, tw.p ** (tw.n - j)
-    if list(gens[:j]) != [shift_gen(tw, i) for i in range(j)]:
+    if gens[:j] != shift_gens(tw)[:j]:
         return None
     rest = tuple(range(size, tw.degree))
     if any(g.images[size:] != rest for g in gens[j:]):
@@ -251,8 +248,8 @@ def _conjugate_images(
             rows = decompose(Perm._raw(piece), p)
         except NotInTower:
             return None
-        local_image = portrait_tail_image(tower(p, tw.n - j), 0, rows)
-        packed[piece] = sum(x << s * blocks * width for s, x in enumerate(local_image))
+        # the piece's local image: level s is the sum of its row s
+        packed[piece] = sum(sum(row) % p << s * blocks * width for s, row in enumerate(rows))
     # copies on distinct blocks commute; on a common block they act by their pieces
     distinct = list(packed)
     abelian = all(

@@ -17,13 +17,13 @@ in its lane, so a residual reads the coefficients off the pivot lanes of
 the vector and touches only the rows whose pivots it hits.  The canonical
 tuple rows are unpacked only when a caller reads them.
 
-The engine acts only by coordinate permutations (entry k of a permutation
-is where basis vector k moves), which spin applies as one mask and shift
-per distinct displacement.  Dense maps (tuples of rows, row k the image of
-basis vector k) appear only in apply_map, perm_action_matrix and
-lower_central_series, the generic chain that the acceptance suite compares
-the closed forms against; the generic fixed and augmentation solves live
-with the test references.
+The engine acts only by coordinate permutations, which spin takes as
+movers: one (mask, shift in bits) pair per distinct displacement of a
+lane, written from the digits by ``tower.tail_movers``.  Dense maps
+(tuples of rows, row k the image of basis vector k) appear only in
+apply_map, perm_action_matrix and lower_central_series, the generic chain
+that the acceptance suite compares the closed forms against; the generic
+fixed and augmentation solves live with the test references.
 """
 
 from __future__ import annotations
@@ -95,17 +95,6 @@ class Layout:
         """The sum mod p of x's lanes, from the popcounts of its bit planes."""
         ones = self.ones
         return sum(((x >> b) & ones).bit_count() << b for b in range((self.p - 1).bit_length())) % self.p
-
-    def mover(self, q: Sequence[int]) -> list[tuple[int, int]]:
-        """(mask, displacement in bits) per distinct displacement q[k] - k of a permutation."""
-        width, masks, k = self.width, {}, 0
-        while k < len(q):
-            d, start = q[k] - k, k
-            while k < len(q) and q[k] - k == d:
-                k += 1
-            run = ((1 << (k - start) * width) - 1) << start * width
-            masks[d] = masks.get(d, 0) | run
-        return [(mask, d * width) for d, mask in masks.items()]
 
 
 _BITS_OUT = bytes.maketrans(b"\x00\x01", b"01")
@@ -296,10 +285,10 @@ def spin(
 ) -> Subspace:
     """Smallest subspace containing the seeds and closed under every permutation.
 
-    Each coordinate permutation q comes as its ``layout(p, dim).mover(q)``,
-    so a caller that spins under the same permutations again builds the
-    movers once.  Worklist closure: each newly added basis vector is pushed
-    through every mover until nothing new appears.
+    Each coordinate permutation comes as its movers: (mask, d) pairs, the
+    lanes in mask moving d bits up (down for d < 0), such as
+    ``tower.tail_movers`` writes.  Worklist closure: each newly added basis
+    vector is pushed through every permutation until nothing new appears.
     """
     lay = layout(p, dim)
     ech = _Echelon(lay)

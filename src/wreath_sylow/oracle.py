@@ -210,11 +210,6 @@ def element_order(g, identity) -> int:
     return k
 
 
-def is_normal_under(sub: GroupSet, ambient_gens: Sequence) -> bool:
-    conj = [(a, a.inverse()) for a in ambient_gens]
-    return all(a * x * a_inv in sub.elements for x in sub.elements for a, a_inv in conj)
-
-
 def _commutators_with(group: GroupSet, sub) -> GroupSet:
     """[G, B]: the subgroup generated by the g b g^-1 b^-1, g in the group, b in sub.
 

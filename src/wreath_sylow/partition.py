@@ -17,7 +17,8 @@ span an invariant subspace of codimension r: by uniseriality, term r.  The
 p**k monomials are a basis of all functions of the digits, so each term's
 monomials are already a basis of it, and partition_generators maps them to
 tower elements with no elimination: a chain vector is an exponent per
-level-k block, and ``tower.level_element`` adds it to digit k.
+level-k block, and ``tower.level_element`` adds it to digit k.  To decide
+a normal spec, ``module_generators`` takes only each term's top monomial.
 
 Closed forms implemented here (cross-checked against the complement engine
 and the brute-force oracle in the test suite): with j the depth (smallest
@@ -59,24 +60,27 @@ class PartitionSpec:
         return self.n
 
 
+def monomial(p: int, k: int, w: int) -> tuple[int, ...]:
+    """The vector of the weight-w monomial on the p**k level-k blocks.
+
+    The Kronecker product, block digit 0 (most significant) first, of the
+    rows d**a for the base-p digits a of w.
+    """
+    vec = [1]
+    for i in range(k):
+        row = [d ** (w // p**i % p) % p for d in range(p)]
+        vec = [x * y % p for x in vec for y in row]
+    return tuple(vec)
+
+
 def chain_term_basis(tw: Tower, k: int, r: int) -> list[tuple[int, ...]]:
     """A basis of term r of the level-k module chain: the monomials of weight below p**k - r."""
     if not 0 <= k <= tw.n - 1:
         raise ValueError(f"level {k} out of range")
-    p, dim = tw.p, tw.p**k
+    dim = tw.p**k
     if not 0 <= r <= dim:
         raise ValueError(f"chain index {r} out of range 0..{dim}")
-    # a monomial's vector is the Kronecker product, block digit 0 (most
-    # significant) first, of the rows d**a for its exponent digits a
-    powers = [[d**a % p for d in range(p)] for a in range(p)]
-    basis = []
-    for w in range(dim - r):
-        vec = [1]
-        for i in range(k):
-            row = powers[w // p**i % p]
-            vec = [x * y % p for x in vec for y in row]
-        basis.append(tuple(vec))
-    return basis
+    return [monomial(tw.p, k, w) for w in range(dim - r)]
 
 
 def partition_generators(tw: Tower, spec: PartitionSpec) -> list[Perm]:
@@ -87,6 +91,22 @@ def partition_generators(tw: Tower, spec: PartitionSpec) -> list[Perm]:
         level_element(tw, k, vec)
         for k, i in enumerate(spec.indices)
         for vec in chain_term_basis(tw, k, i)
+    ]
+
+
+def module_generators(tw: Tower, spec: PartitionSpec) -> list[Perm]:
+    """One level element per present level k: its term's top monomial, of weight p**k - i_k - 1.
+
+    Each level module is uniserial, so the top monomial generates the term as a
+    module, and for a normal spec the engine's handle is the whole subgroup's.
+    """
+    if (spec.p, spec.n) != (tw.p, tw.n):
+        raise ValueError("spec does not match the tower")
+    p = tw.p
+    return [
+        level_element(tw, k, monomial(p, k, p**k - i - 1))
+        for k, i in enumerate(spec.indices)
+        if i < p**k
     ]
 
 

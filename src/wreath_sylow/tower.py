@@ -15,8 +15,8 @@ The structural layers computed here are used by the complement engine:
   descend from the whole group at j=0 to the trivial group at j=n).  A
   prefix shift carries blocks onto blocks rigidly, so the prefix conjugates
   of an x that moves one block only are the same local piece moved to other
-  blocks.  The block maps are the height-j tower's shifts, and they permute
-  the tail vectors' coordinates (``tail_coordinate_perms``);
+  blocks.  The block maps are the height-j tower's shifts, and they rotate
+  lanes of the tail vectors, read off the digits (``tail_movers``);
 - the *portrait* of an element: its wreath coordinates as one flat table,
   row d holding the digit-d translation on each of the p**d d-prefixes;
   ``decompose`` finds it exactly for the tower's elements, and everything
@@ -46,10 +46,10 @@ digit i on the i-prefix blocks 1..p-1: where digits 0..i-2 vanish and i-1 does n
 Tables that depend only on the tower are built once, each in O(degree)
 words, and every per-point pass over them is a C-level gather
 (``operator.itemgetter``) or slice: ``decompose`` reads its step, prefix
-and digit tables per (p, degree); ``scale_gens`` builds the scale
-generators once per tower and returns a fresh list of them; and
-``tail_movers`` keeps the packed-row movers of ``tail_coordinate_perms``
-per (tower, j), so the closures spin without rebuilding them.
+and digit tables per (p, degree), and ``shift_gens`` and ``scale_gens``
+return one tuple per tower, which callers slice.  ``tail_movers`` needs no
+table: each prefix shift's packed-row movers are three masks written from
+the digits, in microseconds.
 """
 
 from __future__ import annotations
@@ -173,17 +173,13 @@ def co_shift_gen(tower: Tower, i: int) -> Perm:
     return level_element(tower, i, (0,) + (1,) * (tower.p - 1))
 
 
-def shift_gens(tower: Tower) -> list[Perm]:
-    return [shift_gen(tower, i) for i in range(tower.n)]
-
-
-def scale_gens(tower: Tower) -> list[Perm]:
-    """A fresh list of the scale generators, which are built once per tower."""
-    return list(_scale_gens(tower))
+@functools.cache
+def shift_gens(tower: Tower) -> tuple[Perm, ...]:
+    return tuple(shift_gen(tower, i) for i in range(tower.n))
 
 
 @functools.cache
-def _scale_gens(tower: Tower) -> tuple[Perm, ...]:
+def scale_gens(tower: Tower) -> tuple[Perm, ...]:
     return tuple(scale_gen(tower, i) for i in range(tower.n))
 
 
@@ -347,31 +343,25 @@ def portrait_tail_image(tower: Tower, j: int, rows: Sequence[Sequence[int]]) -> 
     )
 
 
-def tail_coordinate_perms(tw: Tower, j: int) -> list[tuple[int, ...]]:
-    """The first j shift generators as permutations of tail-vector coordinates.
-
-    Entry k is the coordinate that basis vector k moves to, the convention
-    of ``linalg.perm_action_matrix``.  A prefix shift moves the blocks
-    rigidly, so it moves every level's slice by its block map.  The j-prefix
-    blocks are the points of the height-j tower, and shift_gen(i) moves them
-    as that tower's shift_gen(i) moves its points.
-    """
-    if j == 0:  # no prefix shifts, and no tower of height 0
-        return []
-    top = tower(tw.p, j)
-    blocks = top.degree
-    maps = (shift_gen(top, i).images for i in range(j))
-    return [tuple(s * blocks + t for s in range(tw.n - j) for t in bm) for bm in maps]
-
-
-@functools.cache
 def tail_movers(tw: Tower, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """``tail_coordinate_perms(tw, j)`` as the movers ``linalg.spin`` takes, once per (tower, j).
+    """The first j shift generators as the (mask, shift in bits) movers ``linalg.spin`` takes.
 
-    A few (mask, shift) ints per generator are kept, not the coordinate tuples.
+    Shift i moves the j-prefix blocks as the height-j tower's shift moves
+    its points, so with step = p**(j-1-i) it moves lanes [0, (p-1)*step) of
+    every level slice up by step, lanes [(p-1)*step, p*step) down by
+    (p-1)*step, and fixes the rest.  Each nonempty mask is one slice's,
+    copied to all n-j slices by one multiplication.
     """
-    lay = layout(tw.p, (tw.n - j) * tw.p**j)
-    return tuple(tuple(lay.mover(q)) for q in tail_coordinate_perms(tw, j))
+    p, m, blocks = tw.p, tw.n - j, tw.p**j
+    width = layout(p, m * blocks).width
+    slices = ((1 << m * blocks * width) - 1) // ((1 << blocks * width) - 1)  # 1 in each slice's lane 0
+    out = []
+    for i in range(j):
+        step = p ** (j - 1 - i) * width  # in bits
+        up, low = (1 << (p - 1) * step) - 1, (1 << p * step) - 1
+        movers = ((up, step), (low ^ up, (1 - p) * step), ((1 << blocks * width) - 1 ^ low, 0))
+        out.append(tuple((mask * slices, d) for mask, d in movers if mask * slices))
+    return tuple(out)
 
 
 def point_action_matrices(tower: Tower) -> list[Matrix]:

@@ -4,7 +4,8 @@ Dense linear algebra (``fixed_subspace``, ``augmentation_subspace``,
 ``intersect``) for the invariants that ``uniserial`` reads off in closed
 form; ``walk``, the breadth-first element walk that the oracle's closures
 used before they grew by right cosets, one element per move and read;
-brute-force groups (``normal_closure``, ``derived_subgroup_from_gens``,
+brute-force groups (``is_normal_under``, which conjugates every member
+by every generator, ``normal_closure``, ``derived_subgroup_from_gens``,
 ``center``, and ``bfs_order`` and ``normal_closure_order``, which count the
 3^13 elements at p = 3, n = 3 by walking packed images); ``member``, and
 ``random_tail``, a random element of the level-j tail.
@@ -27,6 +28,10 @@ instead.
 were packed into ints: ``span_rows``, ``left_kernel_rows`` and ``spin_rows``
 give the canonical basis tuples that ``linalg`` must match.  ``left_kernel``
 is ``linalg.kernel_packed`` on tuple rows, for the dense solves above.
+``tail_coordinate_perms`` is the prefix shifts' action on tail coordinates,
+read off the height-j tower's shifts, and ``mover`` scans a coordinate
+permutation into spin's (mask, shift) movers lane by lane: together they
+are the generic build that ``tower.tail_movers`` writes from the digits.
 
 ``block_transport`` reads the block map of a rigid block mover off every
 point, the check the certificate made of its prefix part before it compared
@@ -151,6 +156,35 @@ def permute(v: Sequence[int], point_map: Sequence[int]) -> tuple[int, ...]:
     for k, t in enumerate(point_map):
         out[t] = v[k]
     return tuple(out)
+
+
+def tail_coordinate_perms(tw: Tower, j: int) -> list[tuple[int, ...]]:
+    """The first j shift generators as permutations of tail-vector coordinates.
+
+    Entry k is the coordinate that basis vector k moves to, the convention
+    of ``linalg.perm_action_matrix``.  A prefix shift moves the blocks
+    rigidly, so it moves every level's slice by its block map.  The j-prefix
+    blocks are the points of the height-j tower, and shift_gen(i) moves them
+    as that tower's shift_gen(i) moves its points.
+    """
+    if j == 0:  # no prefix shifts, and no tower of height 0
+        return []
+    top = tower(tw.p, j)
+    blocks = top.degree
+    maps = (shift_gen(top, i).images for i in range(j))
+    return [tuple(s * blocks + t for s in range(tw.n - j) for t in bm) for bm in maps]
+
+
+def mover(p: int, q: Sequence[int]) -> list[tuple[int, int]]:
+    """(mask, displacement in bits) per distinct displacement q[k] - k of a permutation, packed at p."""
+    width, masks, k = layout(p, len(q)).width, {}, 0
+    while k < len(q):
+        d, start = q[k] - k, k
+        while k < len(q) and q[k] - k == d:
+            k += 1
+        run = ((1 << (k - start) * width) - 1) << start * width
+        masks[d] = masks.get(d, 0) | run
+    return [(mask, d * width) for d, mask in masks.items()]
 
 
 def spin_rows(p: int, dim: int, seeds: Iterable[Sequence[int]], perms: Sequence[Sequence[int]]) -> Matrix:
@@ -305,6 +339,12 @@ def walk(start, moves, cap: int, what: str = "closure") -> set:
     return seen
 
 
+def is_normal_under(sub: GroupSet, ambient_gens: Sequence) -> bool:
+    """Every conjugate a * x * a**-1 of a member by an ambient generator is a member."""
+    conj = [(a, a.inverse()) for a in ambient_gens]
+    return all(a * x * a_inv in sub.elements for x in sub.elements for a, a_inv in conj)
+
+
 def normal_closure(gens: Sequence, ambient_gens: Sequence, cap: int = oracle.BFS_CAP, identity=None) -> GroupSet:
     """Smallest subgroup containing gens and closed under ambient conjugation.
 
@@ -391,7 +431,7 @@ def verify_complement_all_conjugates(handle, decision) -> Certificate:
         images = [tail_image(tw, j, d) for d in conjs]
     except (NotInTail, NotInTower):
         images = None
-    tail_ok = images is not None and list(decision.gens[:j]) == shift_gens(tw)[:j]
+    tail_ok = images is not None and decision.gens[:j] == shift_gens(tw)[:j]
     checks["tail_part_in_tail"] = tail_ok
     checks["tail_part_order_p"] = all(d.order() == tw.p for d in conjs)
     moved = [{a for a, y in enumerate(d.images) if a != y} for d in conjs]

@@ -1,13 +1,17 @@
 import itertools
 import random
 
+import pytest
+
 from wreath_sylow.gallery import (
     Mod9Elem,
     QCUnit,
     _A_POWERS,
+    _QC_ONE,
     _is_automorphism,
     _mod9_alpha,
     _qc_phi,
+    _report,
     gallery_mod9,
     gallery_quaternion_central,
 )
@@ -154,3 +158,14 @@ def test_gallery_elements_compare_as_their_field_tuples():
         assert [hash(x) for x in elems] == [hash(f) for f in fields]
         assert all(x == cls(*f) and x == f for x, f in zip(elems, fields))
         assert len(set(elems)) == len(fields)
+
+
+def test_report_refuses_a_non_normal_subgroup():
+    # normal_is_normal is true in every report: the complement search checks
+    # normality first and raises on a subgroup that fails it
+    i, j, x = QCUnit(0, 1, 0), QCUnit(0, 2, 0), QCUnit(0, 0, 1)
+    group = bfs_closure([i, j, x], identity=_QC_ONE)
+    sub = bfs_closure([x * i], identity=_QC_ONE)  # j conjugates x*i to -x*i
+    assert sub.order == 2
+    with pytest.raises(ValueError, match="not normal"):
+        _report(group, sub, _qc_phi)

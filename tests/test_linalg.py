@@ -11,24 +11,25 @@ from reference import (
     intersect,
     left_kernel,
     left_kernel_rows,
+    mover,
     span_rows,
     spin_rows,
+    tail_coordinate_perms,
 )
 from wreath_sylow.linalg import (
     Layout,
     Subspace,
     apply_map,
-    layout,
     lower_central_series,
     perm_action_matrix,
     spin,
 )
-from wreath_sylow.tower import DEGREE_CAP, is_prime, point_action_matrices, tail_coordinate_perms
+from wreath_sylow.tower import DEGREE_CAP, is_prime, point_action_matrices
 
 
 def spin_perms(p, dim, seeds, perms):
     """spin, with the coordinate permutations given as tuples."""
-    return spin(p, dim, seeds, [layout(p, dim).mover(q) for q in perms])
+    return spin(p, dim, seeds, [mover(p, q) for q in perms])
 
 
 def test_span_trivials():

@@ -16,7 +16,6 @@ from wreath_sylow.oracle import (
     element_order,
     exhaustive_complements,
     has_complement,
-    is_normal_under,
     max_abelian_stats,
 )
 from reference import (
@@ -26,6 +25,7 @@ from reference import (
     complements_by_extension,
     derived_subgroup_from_gens,
     fixed_subspace,
+    is_normal_under,
     normal_closure,
     walk,
 )

@@ -11,6 +11,7 @@ from wreath_sylow.partition import (
     PartitionSpec,
     all_normal_specs,
     chain_term_basis,
+    module_generators,
     partition_generators,
     partition_has_complement,
     partition_is_normal,
@@ -207,6 +208,22 @@ def test_engine_crosscheck_all_normal_specs():
             assert decision.has_complement == partition_has_complement(spec), spec
             if decision.has_complement:
                 assert ws.verify_complement(handle, decision).passed, spec
+
+
+def test_module_generators_give_the_handle_of_all_generators():
+    # one top monomial per present level spins to each level's term, so the
+    # handle (depth, image, order) is that of every monomial of every term
+    count = 0
+    for p, n in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]:
+        tw = ws.tower(p, n)
+        for spec in all_normal_specs(p, n):
+            gens = module_generators(tw, spec)
+            assert len(gens) == sum(i < p**k for k, i in enumerate(spec.indices))
+            few = ws.closure_handle(tw, gens)
+            full = ws.closure_handle(tw, partition_generators(tw, spec))
+            assert (few.j, few.image, few.order_exponent) == (full.j, full.image, full.order_exponent), spec
+            count += 1
+    assert count == 384
 
 
 def test_engine_levels_match_spec_indices():

@@ -82,12 +82,12 @@ def test_round_trip_full_generator_corpus():
     import wreath_sylow as ws
 
     tw = ws.tower(3, 3)
-    corpus = (
-        ws.shift_gens(tw)
-        + ws.scale_gens(tw)
-        + ws.co_shift_gens(tw)
-        + ws.base_translations(tw)
-    )
+    corpus = [
+        *ws.shift_gens(tw),
+        *ws.scale_gens(tw),
+        *ws.co_shift_gens(tw),
+        *ws.base_translations(tw),
+    ]
     for g in corpus:
         text = format_cycles(g)
         assert parse_cycles(text, 27) == g

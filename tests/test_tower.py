@@ -10,8 +10,11 @@ from reference import (
     co_shift_by_conjugates,
     commutator,
     decompose_by_fibers,
+    is_normal_under,
+    mover,
     permute,
     random_tail,
+    tail_coordinate_perms,
 )
 from wreath_sylow import oracle
 from wreath_sylow.perm import Perm, conjugate, format_cycles, parse_cycles
@@ -25,7 +28,7 @@ from wreath_sylow.tower import (
     prefix_rep,
     random_element,
     rotation_subgroup_gens,
-    tail_coordinate_perms,
+    tail_movers,
 )
 
 T33 = ws.tower(3, 3)
@@ -450,7 +453,7 @@ def test_rotation_subgroup():
     assert sub.order == 16
     assert all(g.order() == 4 for g in gens3)
     assert all(a * b == b * a for a in sub.elements for b in sub.elements)
-    assert oracle.is_normal_under(sub, ws.shift_gens(t3))
+    assert is_normal_under(sub, ws.shift_gens(t3))
     with pytest.raises(ValueError):
         rotation_subgroup_gens(T33)
 
@@ -483,17 +486,29 @@ def test_tail_coordinate_perms_level0():
     assert tail_coordinate_perms(T33, 0) == []
 
 
-def test_returned_lists_are_the_callers_own():
-    # scale_gens is built once per tower; a caller that changes the list it
-    # got must not change what the next call returns
-    tw = ws.tower(5, 3)
-    expected = [ws.scale_gen(tw, i) for i in range(tw.n)]
-    got = ws.scale_gens(tw)
-    assert got == expected
-    got.reverse()
-    got.append(Perm.identity(tw.degree))
-    assert ws.scale_gens(tw) == expected
-    perms = tail_coordinate_perms(tw, 2)
-    expected_perms = list(perms)
-    perms.clear()
-    assert tail_coordinate_perms(tw, 2) == expected_perms
+def test_generator_families_are_one_tuple_per_tower():
+    # shift_gens and scale_gens are built once per tower: each call returns
+    # the same tuple, equal to a fresh build, which callers slice
+    for p, n in [(2, 4), (5, 3)]:
+        tw = ws.tower(p, n)
+        for family, gen in [(ws.shift_gens, ws.shift_gen), (ws.scale_gens, ws.scale_gen)]:
+            got = family(tw)
+            assert isinstance(got, tuple)
+            assert got == tuple(gen(tw, i) for i in range(n))
+            assert family(tw) is got
+
+
+def test_tail_movers_match_the_scanned_coordinate_perms():
+    # the closed-form movers equal the reference scan of the height-j
+    # tower's shift maps, at every (p, n, j) up to the degree cap
+    cases = 0
+    for p in (2, 3, 5, 7, 11, 13, 127):
+        n = 1
+        while p**n <= DEGREE_CAP:
+            tw = ws.tower(p, n)
+            for j in range(n + 1):
+                expected = tuple(tuple(mover(p, q)) for q in tail_coordinate_perms(tw, j))
+                assert tail_movers(tw, j) == expected, (p, n, j)
+                cases += 1
+            n += 1
+    assert cases == 232

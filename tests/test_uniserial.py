@@ -3,10 +3,18 @@ import random
 from collections import Counter
 
 import wreath_sylow as ws
-from reference import augmentation_subspace, fixed_subspace, intersect, level_sums, permute, random_tail
+from reference import (
+    augmentation_subspace,
+    fixed_subspace,
+    intersect,
+    level_sums,
+    permute,
+    random_tail,
+    tail_coordinate_perms,
+)
 from wreath_sylow.linalg import Subspace, perm_action_matrix, spin
 from wreath_sylow.perm import conjugate
-from wreath_sylow.tower import tail_coordinate_perms, tail_movers
+from wreath_sylow.tower import tail_movers
 from wreath_sylow.uniserial import (
     STYLE_CO_SHIFT,
     STYLE_PREFIX,
