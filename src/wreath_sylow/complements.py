@@ -53,7 +53,7 @@ from .tower import (
     shift_gens,
     tail_movers,
 )
-from .uniserial import STYLE_CO_SHIFT, levels_from_socle, module_invariants
+from .uniserial import STYLE_CO_SHIFT, levels_from_socle, module_invariants, rank_mod_augmentation
 
 REASON_NOT_SUMMAND = "not_direct_summand"
 REASON_SOCLE_GAP = "socle_gap"
@@ -65,6 +65,7 @@ class NormalClosure:
 
     order_exponent is log_p |N|; the tail commutator subgroup accounts for
     tail_commutator_exponent(tower, j) of it and the spun image for the rest.
+    rank_mod_augmentation is the image's, read off the generators' portraits.
     """
 
     tower: Tower
@@ -72,6 +73,7 @@ class NormalClosure:
     j: int
     image: Subspace
     order_exponent: int
+    rank_mod_augmentation: int
 
 
 def tail_commutator_exponent(tower: Tower, j: int) -> int:
@@ -87,9 +89,8 @@ def closure_handle(tower: Tower, gens: Iterable[Perm]) -> NormalClosure:
     dim = (tower.n - j) * tower.p**j
     seeds = [portrait_tail_image(tower, j, rows) for rows in portraits]
     image = spin(tower.p, dim, seeds, tail_movers(tower, j))
-    return NormalClosure(
-        tower, gens, j, image, tail_commutator_exponent(tower, j) + image.rank
-    )
+    order = tail_commutator_exponent(tower, j) + image.rank
+    return NormalClosure(tower, gens, j, image, order, rank_mod_augmentation(tower, j, portraits))
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def decide(handle: NormalClosure) -> Decision:
     tw, j = handle.tower, handle.j
     if j == tw.n:
         return Decision(True, STYLE_CO_SHIFT, (), shift_gens(tw))
-    mod_aug, soc = module_invariants(tw, j, handle.image)
+    mod_aug, soc = handle.rank_mod_augmentation, module_invariants(tw, j, handle.image)
     if mod_aug != soc.rank:
         return Decision(
             False,

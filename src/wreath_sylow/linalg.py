@@ -14,8 +14,10 @@ Subspaces keep their basis in fully reduced row echelon form with pivots
 in increasing lane order, so two subspaces are equal iff their packed
 bases are equal.  A row's pivot coefficient is 1 and every other row is 0
 in its lane, so a residual reads the coefficients off the pivot lanes of
-the vector and touches only the rows whose pivots it hits.  The canonical
-tuple rows are unpacked only when a caller reads them.
+the vector and touches only the rows whose pivots it hits.  A subspace
+keeps the echelon that built it (in spin, from_packed or sum_with) for its
+residuals, and a sum inserts into a copy, never into a kept one.  The
+canonical tuple rows are unpacked only when a caller reads them.
 
 The engine acts only by coordinate permutations, which spin takes as
 movers: one (mask, shift in bits) pair per distinct displacement of a
@@ -28,7 +30,7 @@ fixed and augmentation solves live with the test references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
@@ -91,11 +93,6 @@ class Layout:
             return w ^ x
         return self.reduce(w + self.p_lanes - (x if c == 1 else self.times(x, c)))
 
-    def lane_sum(self, x: int) -> int:
-        """The sum mod p of x's lanes, from the popcounts of its bit planes."""
-        ones = self.ones
-        return sum(((x >> b) & ones).bit_count() << b for b in range((self.p - 1).bit_length())) % self.p
-
 
 _BITS_OUT = bytes.maketrans(b"\x00\x01", b"01")
 _BITS_IN = bytes.maketrans(b"01", b"\x00\x01")
@@ -113,7 +110,7 @@ class _Echelon:
         self.lay = lay
         self.rows: dict[int, int] = {}  # pivot lane -> row, 1 there and 0 in every other pivot lane
         self.pivots = 0  # full lane masks at the pivot lanes
-        self.support = 0  # the OR of the rows
+        self.support = 0  # the OR of the rows as inserted: every lane a row may be nonzero in
 
     def residual(self, w: int) -> int:
         """The reduced w minus its combination of the rows on w's pivot lanes."""
@@ -161,13 +158,6 @@ class _Echelon:
         return tuple(self.rows[k] for k in sorted(self.rows))
 
 
-def _echelon(p: int, dim: int, vectors: Iterable[int]) -> _Echelon:
-    ech = _Echelon(layout(p, dim))
-    for w in vectors:
-        ech.insert(w)
-    return ech
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F_p^dim with its canonical reduced-echelon basis, packed (see Layout)."""
@@ -175,6 +165,11 @@ class Subspace:
     p: int
     dim: int
     packed: tuple[int, ...]
+    echelon: _Echelon = field(compare=False, repr=False)  # the one that built it; never inserted into
+
+    @classmethod
+    def _of(cls, ech: _Echelon) -> "Subspace":
+        return cls(ech.lay.p, ech.lay.dim, ech.take_rows(), ech)
 
     @classmethod
     def span(cls, p: int, dim: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
@@ -183,13 +178,16 @@ class Subspace:
     @classmethod
     def from_packed(cls, p: int, dim: int, vectors: Iterable[int]) -> "Subspace":
         """The span of packed vectors, each lane already reduced mod p."""
-        return cls(p, dim, _echelon(p, dim, vectors).take_rows())
+        ech = _Echelon(layout(p, dim))
+        for w in vectors:
+            ech.insert(w)
+        return cls._of(ech)
 
     @classmethod
     def full(cls, p: int, dim: int) -> "Subspace":
         """F_p^dim, whose canonical basis is the identity rows."""
         width = layout(p, dim).width
-        return cls(p, dim, tuple(1 << k * width for k in range(dim)))
+        return cls.from_packed(p, dim, (1 << k * width for k in range(dim)))
 
     @cached_property
     def rows(self) -> Matrix:
@@ -201,22 +199,13 @@ class Subspace:
         return len(self.packed)
 
     def contains(self, v: Sequence[int]) -> bool:
-        return not self._view.residual(layout(self.p, self.dim).pack(v))
-
-    @cached_property
-    def _view(self) -> _Echelon:
-        """An echelon on the basis itself: for residuals, not insert.
-
-        Inserting the canonical rows in pivot order only files them: each one
-        is already reduced, and no earlier row has a later row's pivot lane.
-        """
-        return _echelon(self.p, self.dim, self.packed)
+        return not self.echelon.residual(layout(self.p, self.dim).pack(v))
 
     def _ech(self) -> _Echelon:
-        """An echelon on a copy of the basis, which insert may extend."""
-        view = self._view
-        ech = _Echelon(view.lay)
-        ech.rows, ech.pivots, ech.support = dict(view.rows), view.pivots, view.support
+        """A copy of the kept echelon, which insert may extend."""
+        kept = self.echelon
+        ech = _Echelon(kept.lay)
+        ech.rows, ech.pivots, ech.support = dict(kept.rows), kept.pivots, kept.support
         return ech
 
     def _check_compatible(self, other: "Subspace"):
@@ -234,7 +223,7 @@ class Subspace:
         ech = big._ech()
         for w in small.packed:
             ech.insert(w)
-        return Subspace(self.p, self.dim, ech.take_rows())
+        return Subspace._of(ech)
 
 
 def apply_map(matrix: Matrix, v: Sequence[int], p: int) -> tuple[int, ...]:
@@ -301,7 +290,7 @@ def spin(
                 w |= (v & mask) << d if d >= 0 else (v & mask) >> -d
             if ech.insert(w):
                 queue.append(w)
-    return Subspace(p, dim, ech.take_rows())
+    return Subspace._of(ech)
 
 
 def lower_central_series(start: Subspace, actions: Sequence[Matrix]) -> list[Subspace]:

@@ -9,8 +9,8 @@ group on p**n points, of order ``p**((p**n - 1) // (p - 1))``.
 
 The structural layers computed here are used by the complement engine:
 
-- the *tail filtration*: ``in_tail(tower, j, x)`` holds when x fixes the
-  first j digits of every point, i.e. x acts only inside the p**j blocks
+- the *tail filtration*: the level-j tail is the subgroup fixing the
+  first j digits of every point, i.e. acting only inside the p**j blocks
   of points sharing a j-digit prefix (the tail subgroups are normal and
   descend from the whole group at j=0 to the trivial group at j=n).  A
   prefix shift carries blocks onto blocks rigidly, so the prefix conjugates
@@ -23,12 +23,14 @@ The structural layers computed here are used by the complement engine:
   below is read off it, one decomposition per element;
 - the *depth* of elements: the first digit with a nonzero row, since an
   element fixes the first j digits exactly when its rows 0..j-1 vanish;
-- images in the abelianized tail: ``tail_image(tower, j, x)`` is the
-  coordinate tuple on which the complement criteria are checked.  It is
-  level-major: entry s * p**j + b, the abelianization of the local action
-  at digit j+s on j-prefix block b, is the sum mod p of the slice of row
-  j+s in block b, and each level's slice of p**j entries is one summand of
-  the natural block-permutation module.
+- images in the abelianized tail: ``portrait_tail_image(tower, j, rows)``
+  is the coordinate tuple on which the complement criteria are checked.
+  It is level-major: entry s * p**j + b, the abelianization of the local
+  action at digit j+s on j-prefix block b, is the sum mod p of the slice
+  of row j+s in block b, and each level's slice of p**j entries is one
+  summand of the natural block-permutation module.  ``in_tail`` and
+  ``tail_image`` state the tail and its image on a permutation; only the
+  tests call them.
 
 The digits give the other closed forms too: shifts, co-shifts and partition
 generators are *level elements*, which add a function of the k-prefix block

@@ -3,15 +3,18 @@
 At level j the abelianized tail splits as a direct sum of n-j copies of the
 natural block-permutation module F_p^(p^j) of the height-j prefix group,
 one copy per digit level j..n-1.  Each copy is uniserial: its invariant
-subspaces form a single chain of length p^j.  Two functions answer the
+subspaces form a single chain of length p^j.  Three functions answer the
 questions the complement engine asks about an invariant subspace U of
 this module:
 
-- ``module_invariants`` gives U's rank modulo the augmentation subspace
-  and its *socle coordinates*: the fixed vectors of U are combinations of
-  the per-level diagonal vectors, and reading off the diagonal multipliers
-  drops U's socle into F_p^(n-j).  U is a *direct summand* exactly when
-  the two ranks agree;
+- ``rank_mod_augmentation`` gives U's rank modulo the augmentation
+  subspace, read off the generators' portraits: the level sums are
+  unchanged by every prefix shift, so they span the same space on U as
+  on its generators, each level's sum a portrait row sum;
+- ``module_invariants`` gives U's *socle coordinates*: the fixed vectors
+  of U are combinations of the per-level diagonal vectors, and reading
+  off the diagonal multipliers drops U's socle into F_p^(n-j).  U is a
+  *direct summand* exactly when the two ranks agree;
 - ``levels_from_socle`` turns the socle coordinates of a direct summand
   into a *level choice*: a set Z of digit levels whose full summands
   complement U, preferring choices that avoid level j itself.
@@ -26,7 +29,7 @@ generic fixed and augmentation solves are test references only
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .linalg import Subspace, kernel_packed, layout, spin
 from .tower import Tower, tail_movers
@@ -44,59 +47,50 @@ class LevelChoice:
     style: str
 
 
-def module_invariants(tower: Tower, j: int, u: Subspace) -> tuple[int, Subspace]:
-    """(rank of u modulo the augmentation subspace, socle coordinates of u).
+def rank_mod_augmentation(tower: Tower, j: int, portraits: Iterable[Sequence[Sequence[int]]]) -> int:
+    """The rank modulo the augmentation subspace of the module the portraits' tail images spin.
 
-    For an invariant u (not checked).  The augmentation is the kernel of
-    the per-level block sums, which map the quotient by it isomorphically
-    onto F_p^(n-j).  They kill the diagonals themselves for j >= 1 (a
-    constant level slice sums to p^j * c = 0), so the socle is coordinatized
-    by diagonal multipliers instead: a combination of the level diagonals
-    lies in u iff the same combination of their residuals modulo u
-    vanishes.  Both are read off u's packed rows: a level sum is a lane sum
-    of the level's slice, and a diagonal's residual subtracts the rows with
-    a pivot in its level.
+    The augmentation is the kernel of the level sums, which map the quotient
+    by it isomorphically onto F_p^(n-j).  Every prefix shift permutes each
+    level slice, so the level sums of the spun module are spanned by the
+    seeds' own; level s of a seed sums to its row j+s.  Equal sums are
+    spanned once: a closure given by all its elements has few distinct ones.
+    """
+    p, levels = tower.p, range(j, tower.n)
+    sums = {tuple([sum(rows[s]) % p for s in levels]) for rows in portraits}
+    return Subspace.span(p, tower.n - j, sums).rank
+
+
+def module_invariants(tower: Tower, j: int, u: Subspace) -> Subspace:
+    """The socle coordinates of u: the combinations of the level diagonals that lie in u.
+
+    For an invariant u (not checked).  The level sums kill the diagonals for
+    j >= 1 (a constant level slice sums to p^j * c = 0), so the socle is
+    coordinatized by diagonal multipliers: a combination of the level
+    diagonals lies in u iff the same combination of their residuals modulo
+    u vanishes, read off u's kept echelon.
     """
     p, m, blocks = tower.p, tower.n - j, tower.p**j
     lay = layout(p, u.dim)
     shift = blocks * lay.width
-    level = (1 << shift) - 1  # the lanes of the level-j slice
-    out = layout(p, m).width
-    sums = (
-        sum(lay.lane_sum(w >> s * shift & level) << s * out for s in range(m)) for w in u.packed
-    )
-    residuals = [u._view.residual(lay.ones & level << s * shift) for s in range(m)]
-    return (
-        Subspace.from_packed(p, m, sums).rank,
-        Subspace.from_packed(p, m, kernel_packed(p, u.dim, residuals)),
-    )
+    level = lay.ones & (1 << shift) - 1  # the diagonal of the level-j slice
+    residuals = [u.echelon.residual(level << s * shift) for s in range(m)]
+    return Subspace.from_packed(p, m, kernel_packed(p, u.dim, residuals))
 
 
 def generates_uniserial(tower: Tower, j: int, coords: Sequence[int]) -> bool:
     """Does the level-j tail vector generate a uniserial submodule of full length p^j?
 
-    Equivalent conditions, checked per summand s (the slice of p^j
-    coordinates at level j+s):
-    (a) projecting the module generated by the vector onto summand s is
-        injective, tested as equal spin dimensions of the vector and of the
-        vector cut down to s;
-    (b) the summand-s slice lies outside the augmentation subspace, i.e.
-        its block sum is nonzero.
-    True iff some summand passes both.
+    Exactly when some level slice of the vector has a nonzero block sum and
+    the module it spins has rank p^j.  Projecting onto that level's summand
+    is onto, since the slice lies outside the summand's one maximal
+    submodule, the augmentation subspace; so the rank is at least p^j, and
+    equal exactly when the projection is injective.
     """
-    p, dim, blocks = tower.p, len(coords), tower.p**j
-    movers = tail_movers(tower, j)
-    if not any(x % p for x in coords):
+    p, blocks = tower.p, tower.p**j
+    if not any(sum(coords[k : k + blocks]) % p for k in range(0, len(coords), blocks)):
         return False
-    full = spin(p, dim, [coords], movers).rank
-    for k in range(0, dim, blocks):
-        if sum(coords[k : k + blocks]) % p == 0:
-            continue
-        alone = [0] * dim
-        alone[k : k + blocks] = coords[k : k + blocks]
-        if spin(p, dim, [alone], movers).rank == full:
-            return True
-    return False
+    return spin(p, len(coords), [coords], tail_movers(tower, j)).rank == blocks
 
 
 def levels_from_socle(tower: Tower, j: int, soc: Subspace) -> Optional[LevelChoice]:

@@ -21,8 +21,12 @@ assumes, and it can pass a group of the wrong order.
 that defines it, which ``tower.co_shift_gen`` builds from the digits
 instead.
 
-``level_sums`` is the per-level block sum on a coordinate tuple, which
-``uniserial.module_invariants`` reads off packed rows as lane sums.
+``level_sums`` is the per-level block sum on a coordinate tuple, and
+``rank_mod_augmentation_by_rows`` the rank of the level sums of a
+subspace's basis rows, which ``uniserial.rank_mod_augmentation`` reads off
+the generators' portraits instead.  ``generates_uniserial_by_summands`` is
+``uniserial.generates_uniserial`` as one spin per summand: the vector cut
+down to each level outside the augmentation must spin the same rank.
 
 ``ListEchelon`` and ``permute`` are the list-row F_p kernel before rows
 were packed into ints: ``span_rows``, ``left_kernel_rows`` and ``spin_rows``
@@ -56,7 +60,7 @@ from typing import Iterable, Optional, Sequence
 
 from wreath_sylow import oracle
 from wreath_sylow.complements import Certificate, complement_order_exponent
-from wreath_sylow.linalg import Matrix, Subspace, kernel_packed, layout
+from wreath_sylow.linalg import Matrix, Subspace, kernel_packed, layout, spin
 from wreath_sylow.oracle import CapExceeded, GroupSet, _check_size, element_order
 from wreath_sylow.perm import Perm, conjugate
 from wreath_sylow.tower import (
@@ -69,6 +73,7 @@ from wreath_sylow.tower import (
     shift_gen,
     shift_gens,
     tail_image,
+    tail_movers,
     tower,
 )
 
@@ -206,6 +211,28 @@ def spin_rows(p: int, dim: int, seeds: Iterable[Sequence[int]], perms: Sequence[
 def level_sums(coords: Sequence[int], p: int, blocks: int) -> tuple[int, ...]:
     """Per-level block sums of a tail vector: the map killing the augmentation subspace."""
     return tuple(sum(coords[k : k + blocks]) % p for k in range(0, len(coords), blocks))
+
+
+def rank_mod_augmentation_by_rows(u: Subspace, blocks: int) -> int:
+    """The rank of u modulo the augmentation, as the rank of its basis rows' level sums."""
+    return Subspace.span(u.p, u.dim // blocks, [level_sums(r, u.p, blocks) for r in u.rows]).rank
+
+
+def generates_uniserial_by_summands(tw: Tower, j: int, coords: Sequence[int]) -> bool:
+    """Some summand s has a nonzero block sum, and the vector cut down to s spins the rank it does."""
+    p, dim, blocks = tw.p, len(coords), tw.p**j
+    movers = tail_movers(tw, j)
+    if not any(x % p for x in coords):
+        return False
+    full = spin(p, dim, [coords], movers).rank
+    for k in range(0, dim, blocks):
+        if sum(coords[k : k + blocks]) % p == 0:
+            continue
+        alone = [0] * dim
+        alone[k : k + blocks] = coords[k : k + blocks]
+        if spin(p, dim, [alone], movers).rank == full:
+            return True
+    return False
 
 
 def member(handle, x: Perm) -> bool:

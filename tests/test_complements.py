@@ -23,6 +23,7 @@ from wreath_sylow.complements import (
     decision_json,
     tail_commutator_exponent,
 )
+from wreath_sylow.linalg import _Echelon
 from wreath_sylow.perm import Perm, conjugate, parse_cycles
 from wreath_sylow.tower import block_conjugates, prefix_rep, random_element
 from wreath_sylow.uniserial import STYLE_CO_SHIFT, STYLE_PREFIX
@@ -217,6 +218,24 @@ def test_closure_handle_decomposes_each_generator_once(monkeypatch):
         calls.clear()
         ws.closure_handle(tw, gens)
         assert calls == gens
+
+
+def test_decide_reuses_the_spun_echelon(monkeypatch):
+    # the socle reads the spin's own echelon and the rank modulo the augmentation the
+    # generators, so no image row is inserted again: 512 rows, at most 2 inserts
+    tw = ws.tower(2, 10)
+    handle = ws.closure_handle(tw, [ws.shift_gen(tw, 9)])
+    assert handle.image.rank == 512
+    inserts = [0]
+    insert = _Echelon.insert
+
+    def counted(ech, w):
+        inserts[0] += 1
+        return insert(ech, w)
+
+    monkeypatch.setattr(_Echelon, "insert", counted)
+    assert ws.decide(handle).has_complement
+    assert inserts[0] <= 2
 
 
 def test_verify_rejects_negative_decision():

@@ -83,6 +83,9 @@ def test_modular_dimension_law(seed):
     assert s.rank + i.rank == u.rank + v.rank
     assert all(u.contains(r) and v.contains(r) for r in i.rows)
     assert all(s.contains(r) for r in u.rows + v.rows)
+    # the sums inserted into copies: each side still holds only its own span
+    assert all(u.contains(r) for r in v.rows) == (s.rank == u.rank)
+    assert all(v.contains(r) for r in u.rows) == (s.rank == v.rank)
 
 
 def test_left_kernel_counts():

@@ -6,10 +6,12 @@ import wreath_sylow as ws
 from reference import (
     augmentation_subspace,
     fixed_subspace,
+    generates_uniserial_by_summands,
     intersect,
     level_sums,
     permute,
     random_tail,
+    rank_mod_augmentation_by_rows,
     tail_coordinate_perms,
 )
 from wreath_sylow.linalg import Subspace, perm_action_matrix, spin
@@ -39,12 +41,11 @@ def closure_image(tw, j, v):
 
 
 def is_summand(tw, j, u):
-    mod_aug, soc = module_invariants(tw, j, u)
-    return mod_aug == soc.rank
+    return rank_mod_augmentation_by_rows(u, tw.p**j) == module_invariants(tw, j, u).rank
 
 
 def choose(tw, j, u):
-    return levels_from_socle(tw, j, module_invariants(tw, j, u)[1])
+    return levels_from_socle(tw, j, module_invariants(tw, j, u))
 
 
 def example_11_1_vector():
@@ -72,18 +73,19 @@ def test_level_sums_of_diagonal_vanish_above_level_zero():
 
 def test_socle_coordinates_full_module():
     full = Subspace.full(3, 6)
-    assert module_invariants(T33, 1, full) == (2, Subspace.full(3, 2))
+    assert rank_mod_augmentation_by_rows(full, 3) == 2
+    assert module_invariants(T33, 1, full) == Subspace.full(3, 2)
 
 
 def test_socle_coordinates_zero():
-    assert module_invariants(T33, 1, Subspace.span(3, 6, []))[1].rank == 0
+    assert module_invariants(T33, 1, Subspace.span(3, 6, [])).rank == 0
 
 
 def test_socle_coordinates_gamma_closure():
     # the single fixed line of the spun module is the level-2 diagonal
     nbar = closure_image(T33, 1, gamma_shift2_vector())
     assert nbar.rank == 3
-    soc = module_invariants(T33, 1, nbar)[1]
+    soc = module_invariants(T33, 1, nbar)
     assert soc == Subspace.span(3, 2, [(0, 1)])
 
 
@@ -127,6 +129,45 @@ def test_generates_uniserial_spin_has_full_length():
             hits += 1
             assert closure_image(T33, 1, v).rank == 3
     assert hits > 0
+
+
+def _uniserial_candidates(tw, j, rng):
+    """Seeded tail vectors, each level zero, random, random in the augmentation, or a multiple of one slice."""
+    p, blocks = tw.p, tw.p**j
+    base = [rng.randrange(p) for _ in range(blocks)]
+    for _ in range(6):
+        coords = []
+        for _ in range(tw.n - j):
+            kind = rng.randrange(4)
+            if kind == 0:
+                level = [0] * blocks
+            elif kind == 3:
+                c = rng.randrange(1, p)
+                level = [c * x % p for x in base]
+            else:
+                level = [rng.randrange(p) for _ in range(blocks)]
+                if kind == 2:
+                    level[-1] = (level[-1] - sum(level)) % p
+            coords += level
+        yield tuple(coords)
+
+
+def test_generates_uniserial_by_one_spin_matches_per_summand_reference():
+    rng = random.Random(4)
+    count = Counter()
+    for p, n in [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]:
+        tw = ws.tower(p, n)
+        for j in range(n):
+            for _ in range(10):
+                for v in _uniserial_candidates(tw, j, rng):
+                    got = generates_uniserial(tw, j, v)
+                    assert got == generates_uniserial_by_summands(tw, j, v), (p, n, j, v)
+                    count[got] += 1
+    # the corpus's two-summand vector and the zero vector
+    for tw, j, v in [(T34, 2, example_11_1_vector()), (T33, 1, (0,) * 6)]:
+        assert not generates_uniserial(tw, j, v)
+        assert not generates_uniserial_by_summands(tw, j, v)
+    assert count[True] > 300 and count[False] > 300
 
 
 def test_choose_levels_full_module():
@@ -188,7 +229,7 @@ def test_summand_subspace_complements_choice():
             if choice is None:
                 continue
             # the chosen unit coordinates complement the socle coordinates
-            soc = module_invariants(tw, j, u)[1]
+            soc = module_invariants(tw, j, u)
             m = tw.n - j
             units = Subspace.span(
                 tw.p, m,
@@ -263,15 +304,15 @@ def test_closed_forms_match_generic_reference():
             fix = fixed_subspace(p, dim, mats)
             aug = augmentation_subspace(p, dim, mats)
             for _ in range(10):
-                seeds = [
-                    ws.tail_image(tw, j, random_tail(tw, j, rng))
-                    for _ in range(rng.randrange(1, 3))
-                ]
+                elements = [random_tail(tw, j, rng) for _ in range(rng.randrange(1, 3))]
+                seeds = [ws.tail_image(tw, j, x) for x in elements]
                 u = spin(p, dim, seeds, tail_movers(tw, j))
                 fixed_part = intersect(u, fix)
                 mod_aug = u.sum_with(aug).rank - aug.rank
-                closed_mod_aug, closed_soc = module_invariants(tw, j, u)
-                assert (closed_mod_aug, closed_soc.rank) == (mod_aug, fixed_part.rank)
+                # read off the generators' portraits, at whatever depth they have
+                assert ws.closure_handle(tw, elements).rank_mod_augmentation == mod_aug
+                closed_soc = module_invariants(tw, j, u)
+                assert closed_soc.rank == fixed_part.rank
                 soc = Subspace.span(p, m, [row[::blocks] for row in fixed_part.rows])
                 assert closed_soc == soc
                 choice = levels_from_socle(tw, j, closed_soc)
