@@ -4,8 +4,13 @@ Input is a list of tower elements; the subgroup under discussion is their
 normal closure N.  With j the depth of the generators (the largest tail
 level containing them all), N contains the commutator subgroup K of the
 level-j tail, and N/K is the submodule of the abelianized tail spun from
-the generators' tail images under the prefix block action.  That reduces
-every question about N to small exact linear algebra:
+the generators' tail images under the prefix block action.  When every
+tail image lies in one digit level's slice, that submodule is fixed by the
+levels' Kaloujnine heights (``uniserial.level_heights``), and nothing is
+spun: its rank is the sum of the heights plus one per level, its socle
+coordinates are the levels that carry a seed, and its basis is built only
+when the certificate or a scale comparison reads it.  That reduces every
+question about N to small exact linear algebra:
 
 - membership: x in N iff x fixes all j-prefixes and its tail image lies in
   the spun subspace;
@@ -38,6 +43,7 @@ once, and its local image is its rows' sums mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .linalg import Subspace, layout, spin
@@ -53,7 +59,13 @@ from .tower import (
     shift_gens,
     tail_movers,
 )
-from .uniserial import STYLE_CO_SHIFT, levels_from_socle, module_invariants, rank_mod_augmentation
+from .uniserial import (
+    STYLE_CO_SHIFT,
+    level_heights,
+    levels_from_socle,
+    module_invariants,
+    rank_mod_augmentation,
+)
 
 REASON_NOT_SUMMAND = "not_direct_summand"
 REASON_SOCLE_GAP = "socle_gap"
@@ -63,17 +75,55 @@ REASON_SOCLE_GAP = "socle_gap"
 class NormalClosure:
     """A normal subgroup presented by generators of its normal closure.
 
-    order_exponent is log_p |N|; the tail commutator subgroup accounts for
-    tail_commutator_exponent(tower, j) of it and the spun image for the rest.
-    rank_mod_augmentation is the image's, read off the generators' portraits.
+    seeds are the generators' distinct tail images at depth j, and heights
+    their levels' Kaloujnine heights, None when a seed touches several
+    levels.  The image, its rank and its socle coordinates are read when
+    first asked for: from the heights when there are any, with no spin;
+    otherwise the image is the seeds' spin and the socle is read off its
+    echelon.  order_exponent is log_p |N|; the tail commutator subgroup
+    accounts for tail_commutator_exponent(tower, j) of it and the image's
+    rank for the rest.  rank_mod_augmentation is the image's, read off the
+    seeds' level sums.
     """
 
     tower: Tower
     gens: tuple[Perm, ...]
     j: int
-    image: Subspace
-    order_exponent: int
+    seeds: frozenset[tuple[int, ...]]
+    heights: Optional[tuple[int, ...]]
     rank_mod_augmentation: int
+
+    @cached_property
+    def image(self) -> Subspace:
+        """The spun image; for full heights the identity rows on the seeded levels' slices."""
+        tw, j, heights = self.tower, self.j, self.heights
+        p, blocks = tw.p, tw.p**j
+        dim = (tw.n - j) * blocks
+        if heights is not None and all(h in (-1, blocks - 1) for h in heights):
+            width = layout(p, dim).width
+            rows = (s * blocks + b for s, h in enumerate(heights) if h >= 0 for b in range(blocks))
+            return Subspace.from_packed(p, dim, (1 << k * width for k in rows))
+        return spin(p, dim, self.seeds, tail_movers(tw, j))
+
+    @property
+    def rank(self) -> int:
+        if self.heights is None:
+            return self.image.rank
+        return sum(h + 1 for h in self.heights)
+
+    @property
+    def order_exponent(self) -> int:
+        return tail_commutator_exponent(self.tower, self.j) + self.rank
+
+    @cached_property
+    def socle(self) -> Subspace:
+        """The socle coordinates: with heights, the unit vectors of the levels that carry a seed."""
+        tw, j, m = self.tower, self.j, self.tower.n - self.j
+        if self.heights is None:
+            return module_invariants(tw, j, self.image)
+        width = layout(tw.p, m).width
+        units = (1 << s * width for s, h in enumerate(self.heights) if h >= 0)
+        return Subspace.from_packed(tw.p, m, units)
 
 
 def tail_commutator_exponent(tower: Tower, j: int) -> int:
@@ -86,11 +136,9 @@ def closure_handle(tower: Tower, gens: Iterable[Perm]) -> NormalClosure:
     gens = tuple(gens)
     portraits = [decompose(g, tower.p) for g in gens]
     j = portrait_depth(tower, portraits)
-    dim = (tower.n - j) * tower.p**j
-    seeds = [portrait_tail_image(tower, j, rows) for rows in portraits]
-    image = spin(tower.p, dim, seeds, tail_movers(tower, j))
-    order = tail_commutator_exponent(tower, j) + image.rank
-    return NormalClosure(tower, gens, j, image, order, rank_mod_augmentation(tower, j, portraits))
+    seeds = frozenset(portrait_tail_image(tower, j, rows) for rows in portraits)
+    heights, mod_aug = level_heights(tower, j, seeds), rank_mod_augmentation(tower, j, seeds)
+    return NormalClosure(tower, gens, j, seeds, heights, mod_aug)
 
 
 @dataclass(frozen=True)
@@ -116,7 +164,7 @@ def decide(handle: NormalClosure) -> Decision:
     tw, j = handle.tower, handle.j
     if j == tw.n:
         return Decision(True, STYLE_CO_SHIFT, (), shift_gens(tw))
-    mod_aug, soc = handle.rank_mod_augmentation, module_invariants(tw, j, handle.image)
+    mod_aug, soc = handle.rank_mod_augmentation, handle.socle
     if mod_aug != soc.rank:
         return Decision(
             False,
@@ -124,7 +172,7 @@ def decide(handle: NormalClosure) -> Decision:
             data={
                 "rank_mod_augmentation": mod_aug,
                 "socle_rank": soc.rank,
-                "image_rank": handle.image.rank,
+                "image_rank": handle.rank,
             },
         )
     choice = levels_from_socle(tw, j, soc)
@@ -207,9 +255,9 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     checks["tail_part_abelian"] = abelian
     span = Subspace.from_packed(tw.p, (tw.n - j) * tw.p**j, images)
     checks["tail_part_rank"] = tail_ok and span.rank == expected_rank
-    # dim(A + B) = dim A + dim B exactly when A meets B in 0
+    # dim(A + B) = dim A + dim B exactly when A meets B in 0; a zero span meets anything so
     checks["meets_closure_trivially"] = tail_ok and (
-        span.sum_with(handle.image).rank == span.rank + handle.image.rank
+        not span.rank or span.sum_with(handle.image).rank == span.rank + handle.rank
     )
     numbers["tail_part_rank"] = span.rank
 
@@ -267,13 +315,18 @@ def scale_orbit(handle: NormalClosure) -> list[tuple[int, NormalClosure, bool]]:
     """Conjugate the closure by each scale generator.
 
     Returns (k, conjugated handle, equal to the original) per digit level;
-    the closure need not be invariant even when its complement is.
+    the closure need not be invariant even when its complement is.  Two
+    closures of one depth with heights are equal exactly when their heights
+    are, since each level's term is fixed by its height.
     """
     tw = handle.tower
     out = []
     for k, eta in enumerate(scale_gens(tw)):
         conj_handle = closure_handle(tw, [conjugate(g, eta) for g in handle.gens])
-        same = conj_handle.j == handle.j and conj_handle.image == handle.image
+        if None in (conj_handle.heights, handle.heights):
+            same = conj_handle.j == handle.j and conj_handle.image == handle.image
+        else:
+            same = conj_handle.j == handle.j and conj_handle.heights == handle.heights
         out.append((k, conj_handle, same))
     return out
 

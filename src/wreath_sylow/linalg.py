@@ -7,8 +7,10 @@ is XOR, the packed rows of M4RI (Albrecht, Bard and Hart, ACM TOMS 37(1),
 lane holds 2p - 1 (a reduced entry plus p minus another), and a sum is
 reduced lanewise by a biased compare and a subtract (``Layout.reduce``), as
 in the packed small-field rows of Boothby and Bradshaw (arXiv:0901.1413),
-with stdlib ints as the words.  Dimensions reach a few thousand (8192 for
-a depth-13 closure at p = 2, n = 14).
+with stdlib ints as the words.  Dimensions reach a few thousand (8192 at
+p = 2, n = 14 for a depth-12 closure whose generator moves both of its
+levels; a closure whose generators each move one level is not spun, see
+``uniserial.level_heights``).
 
 Subspaces keep their basis in fully reduced row echelon form with pivots
 in increasing lane order, so two subspaces are equal iff their packed

@@ -68,9 +68,9 @@ from .perm import Perm, conjugate
 
 
 # Largest degree p**n a Tower accepts, so oversized input is refused before
-# any permutation is built.  At the cap, deciding s13 at (2, 14) spins packed
-# 8192-wide rows (an echelon of 8192**2 bits); each doubling of the degree
-# doubles the point-by-point permutation work and quadruples the echelon.
+# any permutation is built.  At the cap, deciding s12 * s13 at (2, 14) spins
+# packed 8192-wide rows (an echelon of 8192**2 bits); each doubling of the
+# degree doubles the point-by-point permutation work and quadruples the echelon.
 DEGREE_CAP = 2**14
 
 

@@ -37,6 +37,12 @@ read off the height-j tower's shifts, and ``mover`` scans a coordinate
 permutation into spin's (mask, shift) movers lane by lane: together they
 are the generic build that ``tower.tail_movers`` writes from the digits.
 
+``spun_handle`` is a closure handle with its Kaloujnine heights dropped,
+so its image is the seeds' spin and its socle is ``module_invariants`` read
+off that spin's echelon: the path every closure took before the heights
+decided the one-level ones.  ``random_slice_of_height`` is a level slice
+whose height is known by construction.
+
 ``block_transport`` reads the block map of a rigid block mover off every
 point, the check the certificate made of its prefix part before it compared
 that part with the shifts; ``commutator`` is the group commutator.
@@ -55,6 +61,7 @@ columns, so they share no closure kernel with the searches they check.
 """
 
 import bisect
+from dataclasses import replace
 from operator import methodcaller
 from typing import Iterable, Optional, Sequence
 
@@ -62,6 +69,7 @@ from wreath_sylow import oracle
 from wreath_sylow.complements import Certificate, complement_order_exponent
 from wreath_sylow.linalg import Matrix, Subspace, kernel_packed, layout, spin
 from wreath_sylow.oracle import CapExceeded, GroupSet, _check_size, element_order
+from wreath_sylow.partition import monomial
 from wreath_sylow.perm import Perm, conjugate
 from wreath_sylow.tower import (
     NotInTail,
@@ -242,6 +250,20 @@ def member(handle, x: Perm) -> bool:
     except NotInTail:
         return False
     return handle.image.contains(v)
+
+
+def spun_handle(handle):
+    """The handle with no heights: the image is spun and the socle read by ``module_invariants``."""
+    return replace(handle, heights=None)
+
+
+def random_slice_of_height(p: int, j: int, h: int, rng) -> tuple[int, ...]:
+    """A random level slice of Kaloujnine height h: the weight-h monomial plus a few lighter ones."""
+    f = [0] * p**j
+    for w in [h] + rng.sample(range(h), min(h, 3)):
+        c = rng.randrange(1, p)
+        f = [(a + c * b) % p for a, b in zip(f, monomial(p, j, w))]
+    return tuple(f)
 
 
 def commutator(a: Perm, b: Perm) -> Perm:

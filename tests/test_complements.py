@@ -11,7 +11,9 @@ from reference import (
     member,
     normal_closure,
     normal_closure_order,
+    random_slice_of_height,
     random_tail,
+    spun_handle,
     verify_complement_all_conjugates,
 )
 from wreath_sylow import complements, oracle
@@ -24,8 +26,9 @@ from wreath_sylow.complements import (
     tail_commutator_exponent,
 )
 from wreath_sylow.linalg import _Echelon
+from wreath_sylow.partition import PartitionSpec, module_generators
 from wreath_sylow.perm import Perm, conjugate, parse_cycles
-from wreath_sylow.tower import block_conjugates, prefix_rep, random_element
+from wreath_sylow.tower import block_conjugates, level_element, prefix_rep, random_element
 from wreath_sylow.uniserial import STYLE_CO_SHIFT, STYLE_PREFIX
 
 T33 = ws.tower(3, 3)
@@ -221,11 +224,13 @@ def test_closure_handle_decomposes_each_generator_once(monkeypatch):
 
 
 def test_decide_reuses_the_spun_echelon(monkeypatch):
-    # the socle reads the spin's own echelon and the rank modulo the augmentation the
-    # generators, so no image row is inserted again: 512 rows, at most 2 inserts
+    # s8 * s9 moves two levels, so its closure is spun; the socle reads the spin's
+    # own echelon and the rank modulo the augmentation the seeds, so no image row
+    # is inserted again: 256 rows, at most 2 inserts for the socle's kernel of
+    # the 2 level diagonals and 1 for the level choice
     tw = ws.tower(2, 10)
-    handle = ws.closure_handle(tw, [ws.shift_gen(tw, 9)])
-    assert handle.image.rank == 512
+    handle = ws.closure_handle(tw, [ws.shift_gen(tw, 8) * ws.shift_gen(tw, 9)])
+    assert handle.heights is None and handle.image.rank == 256
     inserts = [0]
     insert = _Echelon.insert
 
@@ -235,7 +240,7 @@ def test_decide_reuses_the_spun_echelon(monkeypatch):
 
     monkeypatch.setattr(_Echelon, "insert", counted)
     assert ws.decide(handle).has_complement
-    assert inserts[0] <= 2
+    assert inserts[0] <= 3
 
 
 def test_verify_rejects_negative_decision():
@@ -587,3 +592,71 @@ def test_verify_rejects_a_tail_generator_the_scale_group_moves():
         e0, e1, e2 = ws.scale_gens(tw)
         assert conjugate(g, e0) == g and conjugate(g, e2) == g**tw.r
         assert conjugate(g, e1) not in (g, g**tw.r)
+
+
+def _level_gen(tw, j, s, h, rng):
+    """A level-(j+s) element whose depth-j tail image is a height-h slice on level s alone.
+
+    The slice's entry for j-block b sits on the first of the block's p**s
+    (j+s)-blocks.
+    """
+    vec = [0] * tw.p ** (j + s)
+    vec[:: tw.p**s] = random_slice_of_height(tw.p, j, h, rng)
+    return level_element(tw, j + s, vec)
+
+
+def test_one_level_closures_decide_as_the_spun_reference():
+    # each generator moves one level, so the heights decide; the spun path,
+    # with the socle read off the spin's echelon, must give the same decision,
+    # report and image.  A generator on two levels leaves no heights.
+    rng = random.Random(28)
+    kinds = set()
+    for p, n in [(2, 5), (3, 4), (5, 3), (7, 2), (127, 2)]:
+        tw = ws.tower(p, n)
+        for j in range(n):
+            m, blocks = n - j, p**j
+            height = lambda: blocks - 1 if rng.random() < 0.5 else rng.randrange(blocks)  # noqa: E731
+            for _ in range(4):
+                levels = [0] + [rng.randrange(m) for _ in range(rng.randrange(3))]
+                gens = [_level_gen(tw, j, s, height(), rng) for s in levels]
+                handle = ws.closure_handle(tw, gens)
+                assert handle.j == j and handle.heights is not None
+                spun = spun_handle(handle)
+                decision, expected = ws.decide(handle), ws.decide(spun)
+                assert decision == expected, (p, n, j)
+                assert decision_json(handle, decision) == decision_json(spun, expected), (p, n, j)
+                assert handle.rank == spun.rank and handle.image == spun.image
+                kinds.add(decision.style or decision.reason)
+            if m >= 2:
+                two = _level_gen(tw, j, 0, 0, rng) * _level_gen(tw, j, m - 1, 0, rng)
+                assert ws.closure_handle(tw, [two]).heights is None
+    assert kinds == {STYLE_CO_SHIFT, REASON_NOT_SUMMAND}
+
+
+def _count_spins(monkeypatch) -> list:
+    counter = [0]
+    real = complements.spin
+
+    def counted(*args):
+        counter[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(complements, "spin", counted)
+    return counter
+
+
+def test_one_level_closures_make_no_spin(monkeypatch):
+    spins = _count_spins(monkeypatch)
+    tw = ws.tower(2, 14)
+    handle = ws.closure_handle(tw, [ws.shift_gen(tw, 13)])
+    assert decision_json(handle, ws.decide(handle))["verdict"] == "HasComplement"
+    assert spins == [0]
+    # depth n - 1 at (5,6): a partition with one level present, not at full height
+    tw = ws.tower(5, 6)
+    handle = ws.closure_handle(tw, module_generators(tw, PartitionSpec(5, 6, (1, 5, 25, 125, 625, 1))))
+    assert decision_json(handle, ws.decide(handle))["reason"] == REASON_NOT_SUMMAND
+    assert spins == [0]
+    # the prefix shape's first generator moves two levels: one spin
+    handle = ws.closure_handle(T34, _shaped_gens(T34, 1, STYLE_PREFIX, random.Random(5)))
+    assert decision_json(handle, ws.decide(handle))["case"] == STYLE_PREFIX
+    assert spins == [1]

@@ -12,6 +12,7 @@ from wreath_sylow.partition import (
     all_normal_specs,
     chain_term_basis,
     module_generators,
+    monomial,
     partition_generators,
     partition_has_complement,
     partition_is_normal,
@@ -269,3 +270,22 @@ def test_common_complement_with_partition_subgroup(enumerated):
             comp = oracle.bfs_closure(list(decision.gens) or [group.identity])
             assert part.order * comp.order == group.order
             assert len(part.elements & comp.elements) == 1
+
+
+def test_scale_generators_act_diagonally_on_monomial_level_elements():
+    # a level element whose block vector is an ordinary monomial: conjugating it
+    # by any scale generator multiplies its tail image, at every depth it lies
+    # in, by a nonzero scalar, so every chain term is scale invariant
+    cases = 0
+    for p, n in [(3, 3), (5, 3), (3, 4), (7, 2)]:
+        tw = ws.tower(p, n)
+        for k in range(n):
+            for w in range(p**k):
+                x = level_element(tw, k, monomial(p, k, w))
+                for eta in ws.scale_gens(tw):
+                    y = conjugate(x, eta)
+                    for j in range(k + 1):
+                        v, u = ws.tail_image(tw, j, x), ws.tail_image(tw, j, y)
+                        assert any(u == tuple(c * a % p for a in v) for c in range(1, p)), (p, n, k, w, j)
+                        cases += 1
+    assert cases == 102 + 258 + 568 + 30

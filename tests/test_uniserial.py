@@ -10,6 +10,7 @@ from reference import (
     intersect,
     level_sums,
     permute,
+    random_slice_of_height,
     random_tail,
     rank_mod_augmentation_by_rows,
     tail_coordinate_perms,
@@ -22,6 +23,7 @@ from wreath_sylow.uniserial import (
     STYLE_PREFIX,
     LevelChoice,
     generates_uniserial,
+    level_heights,
     levels_from_socle,
     module_invariants,
 )
@@ -324,3 +326,33 @@ def test_closed_forms_match_generic_reference():
     assert set(kinds) == {
         STYLE_CO_SHIFT, STYLE_PREFIX, ws.REASON_NOT_SUMMAND, ws.REASON_SOCLE_GAP
     }
+
+
+def test_level_heights_match_spin():
+    # at every depth, so depth n-1 too: seeds on one level, several seeds on one
+    # level, and seeds each on one of several levels; the heights are the
+    # monomials' top weights, and the spun rank is the sum of the terms' dimensions
+    rng = random.Random(28)
+    cases = 0
+    for p, n in [(2, 8), (3, 4), (5, 3), (7, 3), (127, 2)]:
+        tw = ws.tower(p, n)
+        for j in range(n):
+            m, blocks = n - j, p**j
+            movers = tail_movers(tw, j)
+            for levels in ([0], [m - 1], [rng.randrange(m)] * 3, [rng.randrange(m) for _ in range(3)]):
+                expected = [-1] * m
+                seeds = []
+                for s in levels:
+                    h = blocks - 1 if rng.random() < 0.3 else rng.randrange(blocks)
+                    expected[s] = max(expected[s], h)
+                    before, after = (0,) * s * blocks, (0,) * (m - 1 - s) * blocks
+                    seeds.append(before + random_slice_of_height(p, j, h, rng) + after)
+                heights = level_heights(tw, j, seeds)
+                assert heights == tuple(expected), (p, n, j, levels)
+                assert sum(h + 1 for h in heights) == spin(p, m * blocks, seeds, movers).rank
+                cases += 1
+            if m >= 2:
+                # a seed on two levels: the heights stop, and the engine spins
+                two = random_slice_of_height(p, j, 0, rng) + (0,) * (m - 2) * blocks + random_slice_of_height(p, j, 0, rng)
+                assert level_heights(tw, j, seeds + [two]) is None
+    assert cases == 4 * (8 + 4 + 3 + 3 + 2)
