@@ -315,18 +315,13 @@ def scale_orbit(handle: NormalClosure) -> list[tuple[int, NormalClosure, bool]]:
     """Conjugate the closure by each scale generator.
 
     Returns (k, conjugated handle, equal to the original) per digit level;
-    the closure need not be invariant even when its complement is.  Two
-    closures of one depth with heights are equal exactly when their heights
-    are, since each level's term is fixed by its height.
+    the closure need not be invariant even when its complement is.
     """
     tw = handle.tower
     out = []
     for k, eta in enumerate(scale_gens(tw)):
         conj_handle = closure_handle(tw, [conjugate(g, eta) for g in handle.gens])
-        if None in (conj_handle.heights, handle.heights):
-            same = conj_handle.j == handle.j and conj_handle.image == handle.image
-        else:
-            same = conj_handle.j == handle.j and conj_handle.heights == handle.heights
+        same = conj_handle.j == handle.j and conj_handle.image == handle.image
         out.append((k, conj_handle, same))
     return out
 

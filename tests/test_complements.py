@@ -224,13 +224,12 @@ def test_closure_handle_decomposes_each_generator_once(monkeypatch):
 
 
 def test_decide_reuses_the_spun_echelon(monkeypatch):
-    # s8 * s9 moves two levels, so its closure is spun; the socle reads the spin's
-    # own echelon and the rank modulo the augmentation the seeds, so no image row
-    # is inserted again: 256 rows, at most 2 inserts for the socle's kernel of
-    # the 2 level diagonals and 1 for the level choice
+    # the socle reads the closure's own echelon and the rank modulo the augmentation
+    # the generators, so no image row is inserted again.  s9 moves one level:
+    # 512 rows, at most 2 inserts.  s8 * s9 moves two levels, so its closure is
+    # spun: 256 rows, at most 2 inserts for the socle's kernel of the 2 level
+    # diagonals and 1 for the level choice
     tw = ws.tower(2, 10)
-    handle = ws.closure_handle(tw, [ws.shift_gen(tw, 8) * ws.shift_gen(tw, 9)])
-    assert handle.heights is None and handle.image.rank == 256
     inserts = [0]
     insert = _Echelon.insert
 
@@ -238,9 +237,18 @@ def test_decide_reuses_the_spun_echelon(monkeypatch):
         inserts[0] += 1
         return insert(ech, w)
 
-    monkeypatch.setattr(_Echelon, "insert", counted)
-    assert ws.decide(handle).has_complement
-    assert inserts[0] <= 3
+    for gen, rank, bound in [
+        (ws.shift_gen(tw, 9), 512, 2),
+        (ws.shift_gen(tw, 8) * ws.shift_gen(tw, 9), 256, 3),
+    ]:
+        handle = ws.closure_handle(tw, [gen])
+        assert handle.image.rank == rank
+        inserts[0] = 0
+        monkeypatch.setattr(_Echelon, "insert", counted)
+        assert ws.decide(handle).has_complement
+        monkeypatch.setattr(_Echelon, "insert", insert)
+        assert inserts[0] <= bound, (rank, inserts[0])
+    assert ws.closure_handle(tw, [ws.shift_gen(tw, 8) * ws.shift_gen(tw, 9)]).heights is None
 
 
 def test_verify_rejects_negative_decision():
