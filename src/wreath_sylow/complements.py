@@ -37,13 +37,18 @@ and commutation), and the scaling identities.  The conjugates are not
 built: the level-j tail is the direct product of p**j height-(n-j) towers,
 a prefix shift moves the blocks rigidly, so a tail generator's conjugates
 are its block-0 piece on each block.  Each distinct piece is decomposed
-once, and its local image is its rows' sums mod p.
+once, and its local image is its rows' sums mod p.  The prefix part is a
+fact of the tower: every decision's first j generators are the very objects
+of ``shift_gens``, whose cycle text and scale check are computed once per
+tower and shift (``shift_cycles``, ``shift_scale_invariant``), so only the
+tail part is printed and checked per decision (``complement_texts``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import is_
 from typing import Iterable, Iterator, Optional
 
 from .linalg import Subspace, layout, spin
@@ -51,12 +56,15 @@ from .perm import Perm, conjugate, format_cycles
 from .tower import (
     NotInTower,
     Tower,
-    co_shift_gen,
+    co_shift_gens,
     decompose,
     portrait_depth,
     portrait_tail_image,
     scale_gens,
+    scale_invariant,
+    shift_cycles,
     shift_gens,
+    shift_scale_invariant,
     tail_movers,
 )
 from .uniserial import (
@@ -183,7 +191,7 @@ def decide(handle: NormalClosure) -> Decision:
             data={"socle_coordinates": [list(r) for r in soc.rows]},
         )
     if choice.style == STYLE_CO_SHIFT:
-        gens = shift_gens(tw)[:j] + tuple(co_shift_gen(tw, i) for i in choice.levels)
+        gens = shift_gens(tw)[:j] + tuple(co_shift_gens(tw)[i - 1] for i in choice.levels)
     else:
         gens = shift_gens(tw)[: j + 1]
     return Decision(True, choice.style, choice.levels, gens)
@@ -217,18 +225,23 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     the closure image in 0, and they commute pairwise with order p (so the
     tail part is the expected elementary abelian group); (iii) invariance:
     conjugating any complement generator by any scale generator gives back
-    the generator or its r-th power: eta * g equals g * eta or g**r * eta,
-    on the scale generators that ``scale_gens`` builds once per tower.
+    the generator or its r-th power: eta * g equals g * eta or g**r * eta
+    (``scale_invariant``).  When gens[:j] are the very objects of
+    ``shift_gens(tower)[:j]``, as every decision's are, (iii) reads their
+    results from ``shift_scale_invariant``, which runs the same products
+    once per tower and shift; any other prefix, an equal copy included, and
+    every tail generator are checked by their own products on each call.
 
-    The conjugates in (ii) are never built.  Each tail generator must move
-    the first j-prefix block only (``tail_part_in_tail``), and the prefix
-    generators, once checked equal to the shifts, move the blocks rigidly,
-    so its conjugates are its block-0 piece on each block.  A conjugate has
-    the order of the element conjugated; its tail image is the piece's local
-    image in that block's columns; conjugates on distinct blocks commute,
-    and on a common block they commute exactly when their pieces do.  A
-    wrong prefix part, or a tail part that moves other blocks or leaves the
-    tail, fails (ii) except for the order check.
+    The conjugates in (ii) are never built.  The prefix part is compared
+    with the shifts once, and (ii) and (iii) both read the result.  Each
+    tail generator must move the first j-prefix block only
+    (``tail_part_in_tail``), and the prefix generators move the blocks
+    rigidly, so its conjugates are its block-0 piece on each block.  A
+    conjugate has the order of the element conjugated; its tail image is
+    the piece's local image in that block's columns; conjugates on distinct
+    blocks commute, and on a common block they commute exactly when their
+    pieces do.  A wrong prefix part, or a tail part that moves other blocks
+    or leaves the tail, fails (ii) except for the order check.
     """
     if not decision.has_complement:
         raise ValueError("nothing to verify for a negative decision")
@@ -244,10 +257,14 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     numbers["closure_exponent"] = handle.order_exponent
     numbers["tower_exponent"] = tw.order_exponent()
 
+    # the prefix part: the tower's own shift objects carry their facts, cached per tower
+    prefix, tail_gens = decision.gens[:j], decision.gens[j:]
+    own_prefix = _own_prefix(tw, j, decision.gens)
+    prefix_ok = own_prefix or prefix == shift_gens(tw)[:j]
+
     # tail part of the complement: conjugates of the generators beyond the prefix
-    tail_gens = decision.gens[j:]
     expected_rank = len(tail_gens) * tw.p**j
-    part = _conjugate_images(tw, j, decision.gens)
+    part = _conjugate_images(tw, j, tail_gens) if prefix_ok else None
     tail_ok = part is not None
     images, abelian = part if tail_ok else ((), False)
     checks["tail_part_in_tail"] = tail_ok
@@ -261,35 +278,37 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     )
     numbers["tail_part_rank"] = span.rank
 
-    # at p = 2, r = 1 and every scale generator is the identity
-    checks["scale_invariance"] = all(
-        (eg := eta * g) == g * eta or eg == g**tw.r * eta
-        for eta in (scale_gens(tw) if tw.p > 2 else ())
-        for g in decision.gens
-    )
+    if own_prefix:
+        prefix_invariant = all(shift_scale_invariant(tw, i) for i in range(j))
+    else:
+        prefix_invariant = all(scale_invariant(tw, g) for g in prefix)
+    checks["scale_invariance"] = prefix_invariant and all(scale_invariant(tw, g) for g in tail_gens)
     return Certificate(checks, numbers)
 
 
+def _own_prefix(tw: Tower, j: int, gens: tuple[Perm, ...]) -> bool:
+    """Whether gens[:j] are the very objects shift_gens(tw)[:j], not copies or other elements."""
+    return len(gens) >= j and all(map(is_, gens[:j], shift_gens(tw)))
+
+
 def _conjugate_images(
-    tw: Tower, j: int, gens: tuple[Perm, ...]
+    tw: Tower, j: int, tail_gens: tuple[Perm, ...]
 ) -> Optional[tuple[Iterator[int], bool]]:
     """Packed tail images of the tail part's prefix conjugates, and whether they commute.
 
-    The first j generators must be the prefix shifts, and every later one
-    must fix the points outside j-prefix block 0 and act on that block as
-    an element of its height-(n-j) tower.  prefix_rep(j, b) carries block 0
-    rigidly onto block b, so the conjugates of such a generator, in
+    The prefix part has been checked to be the first j shifts.  Every tail
+    generator must fix the points outside j-prefix block 0 and act on that
+    block as an element of its height-(n-j) tower.  prefix_rep(j, b) carries
+    block 0 rigidly onto block b, so the conjugates of such a generator, in
     ``block_conjugates`` order, are its block-0 piece on each block b; they
-    are all of its prefix-group conjugates.  None when the prefix part is
-    wrong, or when a tail generator is not of that form.
+    are all of its prefix-group conjugates.  None when a tail generator is
+    not of that form.
     """
     p, blocks, size = tw.p, tw.p**j, tw.p ** (tw.n - j)
-    if gens[:j] != shift_gens(tw)[:j]:
-        return None
     rest = tuple(range(size, tw.degree))
-    if any(g.images[size:] != rest for g in gens[j:]):
+    if any(g.images[size:] != rest for g in tail_gens):
         return None
-    pieces = [g.images[:size] for g in gens[j:]]
+    pieces = [g.images[:size] for g in tail_gens]
     width = layout(p, (tw.n - j) * blocks).width
     packed = {}  # piece -> the packed tail image of its block-0 copy
     for piece in set(pieces):
@@ -326,6 +345,13 @@ def scale_orbit(handle: NormalClosure) -> list[tuple[int, NormalClosure, bool]]:
     return out
 
 
+def complement_texts(handle: NormalClosure, decision: Decision) -> list[str]:
+    """Each generator's cycle text; the tower's own prefix shifts read theirs from the tower's cache."""
+    tw, j, gens = handle.tower, handle.j, decision.gens
+    k = j if _own_prefix(tw, j, gens) else 0
+    return [shift_cycles(tw, i) for i in range(k)] + [format_cycles(g) for g in gens[k:]]
+
+
 def decision_json(handle: NormalClosure, decision: Decision) -> dict:
     """The decide report in its stable wire shape."""
     tw = handle.tower
@@ -339,7 +365,7 @@ def decision_json(handle: NormalClosure, decision: Decision) -> dict:
         "case": decision.style,
         "Z": list(decision.levels),
         "reason": decision.reason,
-        "complement_generators": [format_cycles(g) for g in decision.gens],
+        "complement_generators": complement_texts(handle, decision),
         "orders": {
             "N": handle.order_exponent,
             "C": None,

@@ -16,11 +16,11 @@ from .complements import (
     REASON_NOT_SUMMAND,
     REASON_SOCLE_GAP,
     closure_handle,
+    complement_texts,
     decide,
     scale_orbit,
     verify_complement,
 )
-from .perm import format_cycles
 from .tower import tower
 from .uniserial import STYLE_CO_SHIFT, STYLE_PREFIX, generates_uniserial
 from .words import parse_word
@@ -94,7 +94,7 @@ def run_decision_case(case: DecisionCase) -> dict:
         "style": decision.style,
         "levels": list(decision.levels),
         "reason": decision.reason,
-        "complement": [format_cycles(g) for g in decision.gens],
+        "complement": complement_texts(handle, decision),
     }
     if decision.has_complement:
         cert = verify_complement(handle, decision)

@@ -48,10 +48,14 @@ digit i on the i-prefix blocks 1..p-1: where digits 0..i-2 vanish and i-1 does n
 Tables that depend only on the tower are built once, each in O(degree)
 words, and every per-point pass over them is a C-level gather
 (``operator.itemgetter``) or slice: ``decompose`` reads its step, prefix
-and digit tables per (p, degree), and ``shift_gens`` and ``scale_gens``
-return one tuple per tower, which callers slice.  ``tail_movers`` needs no
-table: each prefix shift's packed-row movers are three masks written from
-the digits, in microseconds.
+and digit tables per (p, degree), and ``shift_gens``, ``scale_gens`` and
+``co_shift_gens`` return one tuple per tower, which callers and the word
+parser slice or index.  Two facts of each shift generator are kept the
+same way, computed the first time they are asked for: its cycle text
+(``shift_cycles``) and its scale check (``shift_scale_invariant``), so a
+complement's prefix part is printed and certified once per tower, not once
+per decision.  ``tail_movers`` needs no table: each prefix shift's
+packed-row movers are three masks written from the digits, in microseconds.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from operator import add, floordiv, itemgetter, mod
 from typing import Iterable, Optional, Sequence
 
 from .linalg import Matrix, layout, perm_action_matrix
-from .perm import Perm, conjugate
+from .perm import Perm, conjugate, format_cycles
 
 
 # Largest degree p**n a Tower accepts, so oversized input is refused before
@@ -185,8 +189,33 @@ def scale_gens(tower: Tower) -> tuple[Perm, ...]:
     return tuple(scale_gen(tower, i) for i in range(tower.n))
 
 
-def co_shift_gens(tower: Tower) -> list[Perm]:
-    return [co_shift_gen(tower, i) for i in range(1, tower.n)]
+@functools.cache
+def co_shift_gens(tower: Tower) -> tuple[Perm, ...]:
+    """co_shift_gens(tower)[i - 1] is co_shift_gen(tower, i)."""
+    return tuple(co_shift_gen(tower, i) for i in range(1, tower.n))
+
+
+def scale_invariant(tower: Tower, g: Perm) -> bool:
+    """Whether eta * g is g * eta or g**r * eta for every scale generator eta.
+
+    This is the complement certificate's invariance check, one generator at
+    a time.  At p = 2, r = 1 and every scale generator is the identity.
+    """
+    return tower.p == 2 or all(
+        (eg := eta * g) == g * eta or eg == g**tower.r * eta for eta in scale_gens(tower)
+    )
+
+
+@functools.cache
+def shift_scale_invariant(tower: Tower, i: int) -> bool:
+    """scale_invariant of shift_gens(tower)[i], computed once per tower and shift."""
+    return scale_invariant(tower, shift_gens(tower)[i])
+
+
+@functools.cache
+def shift_cycles(tower: Tower, i: int) -> str:
+    """format_cycles of shift_gens(tower)[i], computed once per tower and shift."""
+    return format_cycles(shift_gens(tower)[i])
 
 
 def prefix_rep(tower: Tower, j: int, block: int) -> Perm:

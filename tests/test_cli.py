@@ -47,6 +47,30 @@ def test_word_parser_cycles_and_lists():
     assert parse_generators(T33, "") == []
 
 
+def test_word_parser_reads_the_family_tuples():
+    # a token is the family's cached object, and an index off the family
+    # keeps the level builders' message
+    tw = ws.tower(2, 3)
+    assert parse_word(tw, "s2") is ws.shift_gens(tw)[2]
+    assert parse_word(tw, "e1") is ws.scale_gens(tw)[1]
+    assert parse_word(tw, "r1") is ws.co_shift_gens(tw)[0]
+    for token, message in [
+        ("s5", "level 5 out of range 0..2"),
+        ("r0", "level 0 out of range 1..2"),
+        ("r3", "level 3 out of range 1..2"),
+        ("e9", "level 9 out of range 0..2"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            parse_word(tw, f"s0 * {token}")
+        assert str(exc.value) == message, token
+
+
+def test_cli_decide_refuses_a_level_off_the_family(capsys):
+    for token, message in [("s5", "level 5 out of range 0..2"), ("r0", "level 0 out of range 1..2")]:
+        assert main(["decide", "--p", "2", "--n", "3", "--gens", token]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_word_parser_rejects_garbage():
     for bad in ("s", "q1", "s0 *", "(s0", "s0 s1", "s0 ^", "x + y"):
         with pytest.raises(ValueError):

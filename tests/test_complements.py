@@ -27,7 +27,7 @@ from wreath_sylow.complements import (
 )
 from wreath_sylow.linalg import _Echelon
 from wreath_sylow.partition import PartitionSpec, module_generators
-from wreath_sylow.perm import Perm, conjugate, parse_cycles
+from wreath_sylow.perm import Perm, conjugate, format_cycles, parse_cycles
 from wreath_sylow.tower import block_conjugates, level_element, prefix_rep, random_element
 from wreath_sylow.uniserial import STYLE_CO_SHIFT, STYLE_PREFIX
 
@@ -668,3 +668,113 @@ def test_one_level_closures_make_no_spin(monkeypatch):
     handle = ws.closure_handle(T34, _shaped_gens(T34, 1, STYLE_PREFIX, random.Random(5)))
     assert decision_json(handle, ws.decide(handle))["case"] == STYLE_PREFIX
     assert spins == [1]
+
+
+def _record_operands(monkeypatch, name) -> list:
+    """The arguments of every call of Perm.<name> from now on."""
+    calls = []
+    real = getattr(Perm, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(Perm, name, recorded)
+    return calls
+
+
+def _reads(calls, g) -> bool:
+    return any(x is g for args in calls for x in args)
+
+
+def test_a_second_report_prints_and_checks_no_prefix_generator(monkeypatch):
+    # the prefix part's cycle text and scale check are kept per tower and
+    # shift, so the second report on a tower reads no prefix generator: no
+    # cycle walk and no product.  At (5,3) the closure of s2 has the prefix
+    # alone as its complement; the other two have tail parts, which are
+    # still printed and checked per report
+    cycles = _record_operands(monkeypatch, "cycles")
+    products = _record_operands(monkeypatch, "__mul__")
+    t53, t73 = ws.tower(5, 3), ws.tower(7, 3)
+    cases = [
+        (t53, [ws.shift_gen(t53, 2)], ()),
+        (T34, _shaped_gens(T34, 2, STYLE_PREFIX, random.Random(2)), (STYLE_PREFIX,)),
+        (t73, [ws.shift_gen(t73, 1)], (STYLE_CO_SHIFT, (2,))),
+    ]
+    for tw, gens, shape in cases:
+        handle = ws.closure_handle(tw, gens)
+        decision = ws.decide(handle)
+        assert (decision.style, decision.levels)[: len(shape)] == shape
+        first = decision_json(handle, decision)
+        assert all(first["checks"].values())
+        cycles.clear()
+        products.clear()
+        assert decision_json(handle, decision) == first
+        prefix, tail = decision.gens[: handle.j], decision.gens[handle.j :]
+        assert prefix == ws.shift_gens(tw)[: handle.j]
+        assert not any(_reads(cycles, g) or _reads(products, g) for g in prefix), tw
+        assert all(_reads(cycles, g) and _reads(products, g) for g in tail), tw
+        assert bool(cycles) == bool(products) == bool(tail), tw
+
+
+def _products_check(tw, gens) -> bool:
+    """The certificate's scale check as products on every generator."""
+    return all(
+        (eg := eta * g) == g * eta or eg == g**tw.r * eta
+        for eta in (ws.scale_gens(tw) if tw.p > 2 else ())
+        for g in gens
+    )
+
+
+def test_cached_prefix_facts_match_the_products_and_the_reference(monkeypatch):
+    # every positive decision at four sizes: the texts are each generator's
+    # format_cycles, the checks are the all-conjugates reference's, and a
+    # forged prefix (an equal copy of s0, s0**2, no prefix) is checked by its
+    # own products, with the result the products give
+    products = _record_operands(monkeypatch, "__mul__")
+    rng = random.Random(29)
+    positives = forged_count = 0
+    for p, n in [(2, 5), (3, 4), (5, 3), (7, 2)]:
+        tw = ws.tower(p, n)
+        samples = [[]] + [
+            _shaped_gens(tw, j, kind, rng)
+            for j in range(n)
+            for kind in (STYLE_CO_SHIFT, STYLE_PREFIX)
+            if kind in _feasible_kinds(n, j)
+            for _ in range(2)
+        ]
+        for gens in samples:
+            handle = ws.closure_handle(tw, gens)
+            decision = ws.decide(handle)
+            assert decision.has_complement
+            positives += 1
+            j = handle.j
+            assert complements.complement_texts(handle, decision) == [format_cycles(g) for g in decision.gens]
+            cert = ws.verify_complement(handle, decision)
+            ref = verify_complement_all_conjugates(handle, decision)
+            assert cert.passed, (p, n, j)
+            assert (cert.checks, cert.numbers) == (ref.checks, ref.numbers), (p, n, j)
+            if j == 0:
+                continue
+            s0, rest = decision.gens[0], decision.gens[1:]
+            copy = Perm(s0.images)
+            assert copy == s0 and copy is not s0
+            for label, head in [("copy", (copy,) + rest), ("square", (s0**2,) + rest), ("none", rest[j - 1 :])]:
+                forged = replace(decision, gens=head)
+                products.clear()
+                forged_cert = ws.verify_complement(handle, forged)
+                key = (p, n, j, label)
+                if p > 2:
+                    assert all(_reads(products, g) for g in forged.gens), key
+                got = forged_cert.checks["scale_invariance"]
+                assert got == _products_check(tw, forged.gens), key
+                assert got == verify_complement_all_conjugates(handle, forged).checks["scale_invariance"], key
+                if label == "copy":
+                    assert forged_cert.checks == cert.checks
+                else:
+                    assert forged_cert.checks["tail_part_in_tail"] is False
+                    assert not forged_cert.passed
+                texts = complements.complement_texts(handle, forged)
+                assert texts == [format_cycles(g) for g in forged.gens]
+                forged_count += 1
+    assert positives >= 40 and forged_count >= 90

@@ -487,14 +487,19 @@ def test_tail_coordinate_perms_level0():
 
 
 def test_generator_families_are_one_tuple_per_tower():
-    # shift_gens and scale_gens are built once per tower: each call returns
-    # the same tuple, equal to a fresh build, which callers slice
-    for p, n in [(2, 4), (5, 3)]:
+    # shift_gens, scale_gens and co_shift_gens are built once per tower: each
+    # call returns the same tuple, equal to a fresh build, which callers slice;
+    # the co-shifts start at level 1
+    for p, n in [(2, 4), (5, 3), (3, 1)]:
         tw = ws.tower(p, n)
-        for family, gen in [(ws.shift_gens, ws.shift_gen), (ws.scale_gens, ws.scale_gen)]:
+        for family, gen, first in [
+            (ws.shift_gens, ws.shift_gen, 0),
+            (ws.scale_gens, ws.scale_gen, 0),
+            (ws.co_shift_gens, ws.co_shift_gen, 1),
+        ]:
             got = family(tw)
             assert isinstance(got, tuple)
-            assert got == tuple(gen(tw, i) for i in range(n))
+            assert got == tuple(gen(tw, i) for i in range(first, n))
             assert family(tw) is got
 
 
