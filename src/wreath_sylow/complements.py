@@ -37,18 +37,16 @@ and commutation), and the scaling identities.  The conjugates are not
 built: the level-j tail is the direct product of p**j height-(n-j) towers,
 a prefix shift moves the blocks rigidly, so a tail generator's conjugates
 are its block-0 piece on each block.  Each distinct piece is decomposed
-once, and its local image is its rows' sums mod p.  The prefix part is a
-fact of the tower: every decision's first j generators are the very objects
-of ``shift_gens``, whose cycle text and scale check are computed once per
-tower and shift (``shift_cycles``, ``shift_scale_invariant``), so only the
-tail part is printed and checked per decision (``complement_texts``).
+once, and its local image is its rows' sums mod p.  A generator's cycle
+text (``cycle_text``) and scale check (``scale_invariant``) are functions
+of its value, memoized by it, so each generator a decision returns is
+printed and checked once per process, whichever decision returns it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import is_
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Optional
 
 from .linalg import Subspace, layout, spin
@@ -56,15 +54,14 @@ from .perm import Perm, conjugate, format_cycles
 from .tower import (
     NotInTower,
     Tower,
-    co_shift_gens,
+    co_shift_gen,
     decompose,
     portrait_depth,
     portrait_tail_image,
     scale_gens,
     scale_invariant,
-    shift_cycles,
+    shift_gen,
     shift_gens,
-    shift_scale_invariant,
     tail_movers,
 )
 from .uniserial import (
@@ -190,10 +187,11 @@ def decide(handle: NormalClosure) -> Decision:
             reason=REASON_SOCLE_GAP,
             data={"socle_coordinates": [list(r) for r in soc.rows]},
         )
+    gens = tuple(shift_gen(tw, i) for i in range(j))
     if choice.style == STYLE_CO_SHIFT:
-        gens = shift_gens(tw)[:j] + tuple(co_shift_gens(tw)[i - 1] for i in choice.levels)
+        gens += tuple(co_shift_gen(tw, i) for i in choice.levels)
     else:
-        gens = shift_gens(tw)[: j + 1]
+        gens += (shift_gen(tw, j),)
     return Decision(True, choice.style, choice.levels, gens)
 
 
@@ -226,22 +224,19 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     tail part is the expected elementary abelian group); (iii) invariance:
     conjugating any complement generator by any scale generator gives back
     the generator or its r-th power: eta * g equals g * eta or g**r * eta
-    (``scale_invariant``).  When gens[:j] are the very objects of
-    ``shift_gens(tower)[:j]``, as every decision's are, (iii) reads their
-    results from ``shift_scale_invariant``, which runs the same products
-    once per tower and shift; any other prefix, an equal copy included, and
-    every tail generator are checked by their own products on each call.
+    (``scale_invariant``, memoized by value, so a generator is checked by
+    products once per process; at p = 2 nothing is checked or hashed).
 
     The conjugates in (ii) are never built.  The prefix part is compared
-    with the shifts once, and (ii) and (iii) both read the result.  Each
-    tail generator must move the first j-prefix block only
-    (``tail_part_in_tail``), and the prefix generators move the blocks
-    rigidly, so its conjugates are its block-0 piece on each block.  A
-    conjugate has the order of the element conjugated; its tail image is
-    the piece's local image in that block's columns; conjugates on distinct
-    blocks commute, and on a common block they commute exactly when their
-    pieces do.  A wrong prefix part, or a tail part that moves other blocks
-    or leaves the tail, fails (ii) except for the order check.
+    with the shifts once.  Each tail generator must move the first
+    j-prefix block only (``tail_part_in_tail``), and the prefix generators
+    move the blocks rigidly, so its conjugates are its block-0 piece on
+    each block.  A conjugate has the order of the element conjugated; its
+    tail image is the piece's local image in that block's columns;
+    conjugates on distinct blocks commute, and on a common block they
+    commute exactly when their pieces do.  A wrong prefix part, or a tail
+    part that moves other blocks or leaves the tail, fails (ii) except for
+    the order check.
     """
     if not decision.has_complement:
         raise ValueError("nothing to verify for a negative decision")
@@ -257,10 +252,9 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     numbers["closure_exponent"] = handle.order_exponent
     numbers["tower_exponent"] = tw.order_exponent()
 
-    # the prefix part: the tower's own shift objects carry their facts, cached per tower
-    prefix, tail_gens = decision.gens[:j], decision.gens[j:]
-    own_prefix = _own_prefix(tw, j, decision.gens)
-    prefix_ok = own_prefix or prefix == shift_gens(tw)[:j]
+    # the engine's prefix part is the shifts' own objects, so the comparison stops early on each
+    tail_gens = decision.gens[j:]
+    prefix_ok = decision.gens[:j] == tuple(shift_gen(tw, i) for i in range(j))
 
     # tail part of the complement: conjugates of the generators beyond the prefix
     expected_rank = len(tail_gens) * tw.p**j
@@ -278,17 +272,8 @@ def verify_complement(handle: NormalClosure, decision: Decision) -> Certificate:
     )
     numbers["tail_part_rank"] = span.rank
 
-    if own_prefix:
-        prefix_invariant = all(shift_scale_invariant(tw, i) for i in range(j))
-    else:
-        prefix_invariant = all(scale_invariant(tw, g) for g in prefix)
-    checks["scale_invariance"] = prefix_invariant and all(scale_invariant(tw, g) for g in tail_gens)
+    checks["scale_invariance"] = tw.p == 2 or all(scale_invariant(tw, g) for g in decision.gens)
     return Certificate(checks, numbers)
-
-
-def _own_prefix(tw: Tower, j: int, gens: tuple[Perm, ...]) -> bool:
-    """Whether gens[:j] are the very objects shift_gens(tw)[:j], not copies or other elements."""
-    return len(gens) >= j and all(map(is_, gens[:j], shift_gens(tw)))
 
 
 def _conjugate_images(
@@ -345,11 +330,10 @@ def scale_orbit(handle: NormalClosure) -> list[tuple[int, NormalClosure, bool]]:
     return out
 
 
-def complement_texts(handle: NormalClosure, decision: Decision) -> list[str]:
-    """Each generator's cycle text; the tower's own prefix shifts read theirs from the tower's cache."""
-    tw, j, gens = handle.tower, handle.j, decision.gens
-    k = j if _own_prefix(tw, j, gens) else 0
-    return [shift_cycles(tw, i) for i in range(k)] + [format_cycles(g) for g in gens[k:]]
+@cache
+def cycle_text(g: Perm) -> str:
+    """format_cycles of g, memoized by value."""
+    return format_cycles(g)
 
 
 def decision_json(handle: NormalClosure, decision: Decision) -> dict:
@@ -365,7 +349,7 @@ def decision_json(handle: NormalClosure, decision: Decision) -> dict:
         "case": decision.style,
         "Z": list(decision.levels),
         "reason": decision.reason,
-        "complement_generators": complement_texts(handle, decision),
+        "complement_generators": list(map(cycle_text, decision.gens)),
         "orders": {
             "N": handle.order_exponent,
             "C": None,

@@ -16,7 +16,7 @@ from .complements import (
     REASON_NOT_SUMMAND,
     REASON_SOCLE_GAP,
     closure_handle,
-    complement_texts,
+    cycle_text,
     decide,
     scale_orbit,
     verify_complement,
@@ -94,7 +94,7 @@ def run_decision_case(case: DecisionCase) -> dict:
         "style": decision.style,
         "levels": list(decision.levels),
         "reason": decision.reason,
-        "complement": complement_texts(handle, decision),
+        "complement": list(map(cycle_text, decision.gens)),
     }
     if decision.has_complement:
         cert = verify_complement(handle, decision)

@@ -48,14 +48,14 @@ digit i on the i-prefix blocks 1..p-1: where digits 0..i-2 vanish and i-1 does n
 Tables that depend only on the tower are built once, each in O(degree)
 words, and every per-point pass over them is a C-level gather
 (``operator.itemgetter``) or slice: ``decompose`` reads its step, prefix
-and digit tables per (p, degree), and ``shift_gens``, ``scale_gens`` and
-``co_shift_gens`` return one tuple per tower, which callers and the word
-parser slice or index.  Two facts of each shift generator are kept the
-same way, computed the first time they are asked for: its cycle text
-(``shift_cycles``) and its scale check (``shift_scale_invariant``), so a
-complement's prefix part is printed and certified once per tower, not once
-per decision.  ``tail_movers`` needs no table: each prefix shift's
-packed-row movers are three masks written from the digits, in microseconds.
+and digit tables per (p, degree), and each generator is built once per
+(tower, level) by its cached builder, so ``shift_gens``, ``scale_gens``
+and ``co_shift_gens`` are tuples of the same objects and a caller that
+needs one level builds that level only.  A fact of a generator is a
+function of its value and is kept the same way: ``scale_invariant`` is
+memoized by (tower, permutation), so an equal copy reads the same entry.
+``tail_movers`` needs no table: each prefix shift's packed-row movers are
+three masks written from the digits, in microseconds.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from operator import add, floordiv, itemgetter, mod
 from typing import Iterable, Optional, Sequence
 
 from .linalg import Matrix, layout, perm_action_matrix
-from .perm import Perm, conjugate, format_cycles
+from .perm import Perm, conjugate
 
 
 # Largest degree p**n a Tower accepts, so oversized input is refused before
@@ -155,11 +155,13 @@ def level_element(tower: Tower, k: int, vec: Sequence[int]) -> Perm:
     return Perm._raw(tuple(images))
 
 
+@functools.cache
 def shift_gen(tower: Tower, i: int) -> Perm:
     """Add 1 to digit i on the points whose digits 0..i-1 all vanish: block 0's level element."""
     return level_element(tower, i, (1,))
 
 
+@functools.cache
 def scale_gen(tower: Tower, i: int) -> Perm:
     """Multiply digit i by tower.r, the smallest primitive root mod p (1 at p = 2)."""
     if not 0 <= i <= tower.n - 1:
@@ -172,6 +174,7 @@ def scale_gen(tower: Tower, i: int) -> Perm:
     return Perm._raw(tuple(map(add, range(tower.degree), cycle(moves))))
 
 
+@functools.cache
 def co_shift_gen(tower: Tower, i: int) -> Perm:
     """Add 1 to digit i on the i-prefix blocks 1..p-1; defined for 1 <= i <= n-1."""
     if not 1 <= i <= tower.n - 1:
@@ -179,43 +182,28 @@ def co_shift_gen(tower: Tower, i: int) -> Perm:
     return level_element(tower, i, (0,) + (1,) * (tower.p - 1))
 
 
-@functools.cache
 def shift_gens(tower: Tower) -> tuple[Perm, ...]:
     return tuple(shift_gen(tower, i) for i in range(tower.n))
 
 
-@functools.cache
 def scale_gens(tower: Tower) -> tuple[Perm, ...]:
     return tuple(scale_gen(tower, i) for i in range(tower.n))
 
 
-@functools.cache
 def co_shift_gens(tower: Tower) -> tuple[Perm, ...]:
     """co_shift_gens(tower)[i - 1] is co_shift_gen(tower, i)."""
     return tuple(co_shift_gen(tower, i) for i in range(1, tower.n))
 
 
+@functools.cache
 def scale_invariant(tower: Tower, g: Perm) -> bool:
     """Whether eta * g is g * eta or g**r * eta for every scale generator eta.
 
     This is the complement certificate's invariance check, one generator at
-    a time.  At p = 2, r = 1 and every scale generator is the identity.
+    a time, memoized by value: an equal copy of g reads the same entry.  At
+    p = 2 every scale generator is the identity and the check holds.
     """
-    return tower.p == 2 or all(
-        (eg := eta * g) == g * eta or eg == g**tower.r * eta for eta in scale_gens(tower)
-    )
-
-
-@functools.cache
-def shift_scale_invariant(tower: Tower, i: int) -> bool:
-    """scale_invariant of shift_gens(tower)[i], computed once per tower and shift."""
-    return scale_invariant(tower, shift_gens(tower)[i])
-
-
-@functools.cache
-def shift_cycles(tower: Tower, i: int) -> str:
-    """format_cycles of shift_gens(tower)[i], computed once per tower and shift."""
-    return format_cycles(shift_gens(tower)[i])
+    return all((eg := eta * g) == g * eta or eg == g**tower.r * eta for eta in scale_gens(tower))
 
 
 def prefix_rep(tower: Tower, j: int, block: int) -> Perm:

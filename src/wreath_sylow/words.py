@@ -1,8 +1,9 @@
 """A tiny expression grammar for tower elements on the command line.
 
 Tokens name the generator families: ``s<i>`` for shifts, ``e<i>`` for
-scaling maps, ``r<i>`` for co-shifts, each read from its family's one
-tuple per tower.  Operators, loosest first:
+scaling maps, ``r<i>`` for co-shifts, each built by its family's cached
+builder, which also refuses a level off the family.  Operators, loosest
+first:
 
     a * b      composition, b acting first
     a ^ b      conjugation of a by b, i.e. b * a * b**-1 (left associative)
@@ -17,12 +18,11 @@ from __future__ import annotations
 import re
 
 from .perm import Perm, conjugate, parse_cycles
-from .tower import Tower, co_shift_gens, scale_gens, shift_gens
+from .tower import Tower, co_shift_gen, scale_gen, shift_gen
 
 MAX_NESTING = 100  # parentheses and inverses; keeps the recursion off the stack limit
 
-# token letter -> (the family's one tuple per tower, the level of its first entry)
-_FAMILIES = {"s": (shift_gens, 0), "e": (scale_gens, 0), "r": (co_shift_gens, 1)}
+_FAMILIES = {"s": shift_gen, "e": scale_gen, "r": co_shift_gen}  # token letter -> builder
 
 _TOKEN = re.compile(r"\s*(?:(?P<name>[ser]\d+)|(?P<op>[*^~()]))")
 
@@ -91,11 +91,7 @@ class _Parser:
         if tok is None or tok in "*^)":
             raise ValueError(f"expected a generator, found {tok!r}")
         self.take()
-        family, first = _FAMILIES[tok[0]]
-        idx, last = int(tok[1:]), self.tower.n - 1
-        if not first <= idx <= last:
-            raise ValueError(f"level {idx} out of range {first}..{last}")
-        return family(self.tower)[idx - first]
+        return _FAMILIES[tok[0]](self.tower, int(tok[1:]))
 
 
 def parse_word(tower: Tower, text: str) -> Perm:

@@ -28,7 +28,7 @@ from wreath_sylow.complements import (
 from wreath_sylow.linalg import _Echelon
 from wreath_sylow.partition import PartitionSpec, module_generators
 from wreath_sylow.perm import Perm, conjugate, format_cycles, parse_cycles
-from wreath_sylow.tower import block_conjugates, level_element, prefix_rep, random_element
+from wreath_sylow.tower import block_conjugates, level_element, prefix_rep, random_element, scale_invariant
 from wreath_sylow.uniserial import STYLE_CO_SHIFT, STYLE_PREFIX
 
 T33 = ws.tower(3, 3)
@@ -687,12 +687,18 @@ def _reads(calls, g) -> bool:
     return any(x is g for args in calls for x in args)
 
 
+def _clear_generator_memos():
+    complements.cycle_text.cache_clear()
+    scale_invariant.cache_clear()
+
+
 def test_a_second_report_prints_and_checks_no_prefix_generator(monkeypatch):
-    # the prefix part's cycle text and scale check are kept per tower and
-    # shift, so the second report on a tower reads no prefix generator: no
-    # cycle walk and no product.  At (5,3) the closure of s2 has the prefix
-    # alone as its complement; the other two have tail parts, which are
-    # still printed and checked per report
+    # a generator's cycle text and scale check are memoized by value, so the
+    # first report on a closure reads every generator (the scale check by
+    # products, at odd p) and the second makes no product: its only cycle
+    # walk is the tail part's order check.  At (5,3) the closure of s2 has
+    # the prefix alone as its complement; the other two have tail parts
+    _clear_generator_memos()
     cycles = _record_operands(monkeypatch, "cycles")
     products = _record_operands(monkeypatch, "__mul__")
     t53, t73 = ws.tower(5, 3), ws.tower(7, 3)
@@ -705,16 +711,18 @@ def test_a_second_report_prints_and_checks_no_prefix_generator(monkeypatch):
         handle = ws.closure_handle(tw, gens)
         decision = ws.decide(handle)
         assert (decision.style, decision.levels)[: len(shape)] == shape
+        cycles.clear()
+        products.clear()
         first = decision_json(handle, decision)
         assert all(first["checks"].values())
+        assert all(_reads(cycles, g) and _reads(products, g) for g in decision.gens), tw
         cycles.clear()
         products.clear()
         assert decision_json(handle, decision) == first
         prefix, tail = decision.gens[: handle.j], decision.gens[handle.j :]
         assert prefix == ws.shift_gens(tw)[: handle.j]
-        assert not any(_reads(cycles, g) or _reads(products, g) for g in prefix), tw
-        assert all(_reads(cycles, g) and _reads(products, g) for g in tail), tw
-        assert bool(cycles) == bool(products) == bool(tail), tw
+        assert products == [], tw
+        assert [args for args in cycles] == [(g,) for g in tail], tw
 
 
 def _products_check(tw, gens) -> bool:
@@ -728,9 +736,12 @@ def _products_check(tw, gens) -> bool:
 
 def test_cached_prefix_facts_match_the_products_and_the_reference(monkeypatch):
     # every positive decision at four sizes: the texts are each generator's
-    # format_cycles, the checks are the all-conjugates reference's, and a
-    # forged prefix (an equal copy of s0, s0**2, no prefix) is checked by its
-    # own products, with the result the products give
+    # format_cycles, the checks are the all-conjugates reference's.  The
+    # facts are memoized by value: an equal copy of s0 reads the memo and
+    # gets identical checks, while s0**2 and a missing prefix, with the
+    # memo cleared, are checked by their own products, with the result the
+    # products give
+    _clear_generator_memos()
     products = _record_operands(monkeypatch, "__mul__")
     rng = random.Random(29)
     positives = forged_count = 0
@@ -749,11 +760,13 @@ def test_cached_prefix_facts_match_the_products_and_the_reference(monkeypatch):
             assert decision.has_complement
             positives += 1
             j = handle.j
-            assert complements.complement_texts(handle, decision) == [format_cycles(g) for g in decision.gens]
+            report = decision_json(handle, decision)
+            assert report["complement_generators"] == [format_cycles(g) for g in decision.gens]
             cert = ws.verify_complement(handle, decision)
             ref = verify_complement_all_conjugates(handle, decision)
             assert cert.passed, (p, n, j)
             assert (cert.checks, cert.numbers) == (ref.checks, ref.numbers), (p, n, j)
+            assert report["checks"] == cert.checks
             if j == 0:
                 continue
             s0, rest = decision.gens[0], decision.gens[1:]
@@ -761,20 +774,93 @@ def test_cached_prefix_facts_match_the_products_and_the_reference(monkeypatch):
             assert copy == s0 and copy is not s0
             for label, head in [("copy", (copy,) + rest), ("square", (s0**2,) + rest), ("none", rest[j - 1 :])]:
                 forged = replace(decision, gens=head)
+                if label != "copy":
+                    scale_invariant.cache_clear()
                 products.clear()
                 forged_cert = ws.verify_complement(handle, forged)
                 key = (p, n, j, label)
-                if p > 2:
-                    assert all(_reads(products, g) for g in forged.gens), key
+                if label == "copy":
+                    assert products == [], key
+                    assert forged_cert.checks == cert.checks
+                else:
+                    if p > 2:
+                        assert all(_reads(products, g) for g in forged.gens), key
+                    assert forged_cert.checks["tail_part_in_tail"] is False
+                    assert not forged_cert.passed
                 got = forged_cert.checks["scale_invariance"]
                 assert got == _products_check(tw, forged.gens), key
                 assert got == verify_complement_all_conjugates(handle, forged).checks["scale_invariance"], key
-                if label == "copy":
-                    assert forged_cert.checks == cert.checks
-                else:
-                    assert forged_cert.checks["tail_part_in_tail"] is False
-                    assert not forged_cert.passed
-                texts = complements.complement_texts(handle, forged)
+                texts = list(map(complements.cycle_text, forged.gens))
                 assert texts == [format_cycles(g) for g in forged.gens]
                 forged_count += 1
     assert positives >= 40 and forged_count >= 90
+
+
+def test_one_shot_calls_build_only_the_generators_they_use(monkeypatch):
+    # each generator is cached per (tower, level) by its builder, so deciding
+    # s4 at (2,6), whose complement takes the co-shift at level 5 (Z = (5,)),
+    # builds that co-shift and no other, beside the parsed s4 and the prefix
+    # shifts s0..s3; parsing r3
+    # builds one co-shift and e2 one scale generator.  At p = 2 the scale
+    # check is not asked, so nothing enters its memo
+    for builder in (ws.shift_gen, ws.scale_gen, ws.co_shift_gen):
+        builder.cache_clear()
+    scale_invariant.cache_clear()
+    tower_module = importlib.import_module("wreath_sylow.tower")  # ws.tower is the constructor
+    built = []
+    real = tower_module.level_element
+
+    def recorded(tw, k, vec):
+        built.append((tw.p, tw.n, k, tuple(vec)))
+        return real(tw, k, vec)
+
+    monkeypatch.setattr(tower_module, "level_element", recorded)
+    tw = ws.tower(2, 6)
+    handle = ws.closure_handle(tw, [ws.parse_word(tw, "s4")])
+    decision = ws.decide(handle)
+    assert decision.levels == (5,)
+    assert all(decision_json(handle, decision)["checks"].values())
+    assert sorted(built) == [(2, 6, k, (1,)) for k in range(5)] + [(2, 6, 5, (0, 1))]
+    assert scale_invariant.cache_info().currsize == 0
+    built.clear()
+    t34 = ws.tower(3, 4)
+    assert ws.parse_word(t34, "r3") == level_element(t34, 3, (0, 1, 1))
+    assert built == [(3, 4, 3, (0, 1, 1))]
+    assert ws.parse_word(t34, "e2") is ws.scale_gen(t34, 2)
+    assert ws.scale_gen.cache_info().currsize == 1
+
+
+def test_metamorphic_relations_of_the_closure():
+    # the closure is a function of the normal subgroup, not of its
+    # generators: conjugating every generator by one tower element, or
+    # replacing (g1, g2) by (g1 * g2, g2), presents the same subgroup.  At
+    # odd p each scale generator is an automorphism of the tower, so the
+    # closure it conjugates to has the same depth, order and verdict.  The
+    # certificate passes on every conjugated closure's complement
+    rng = random.Random(30)
+    closures = 0
+    for p, n in [(2, 4), (2, 6), (3, 3), (3, 4), (5, 3)]:
+        tw = ws.tower(p, n)
+        shapes = [(j, kind) for j in range(n) for kind in _feasible_kinds(n, j) for _ in range(2)]
+        for j, kind in shapes:
+            gens = _shaped_gens(tw, j, kind, rng)
+            handle = ws.closure_handle(tw, gens)
+            decision = ws.decide(handle)
+            verdict = (decision.has_complement, decision.reason, decision.style, decision.levels)
+            key = (p, n, j, kind)
+            x = random_element(tw, rng)
+            moved = ws.closure_handle(tw, [conjugate(g, x) for g in gens])
+            facts = (handle.j, handle.image, handle.order_exponent, handle.heights)
+            assert (moved.j, moved.image, moved.order_exponent, moved.heights) == facts, key
+            g1, g2, *others = gens if len(gens) >= 2 else [gens[0], conjugate(gens[0], x)]
+            merged = ws.closure_handle(tw, [g1 * g2, g2, *others])
+            assert (merged.j, merged.image) == (handle.j, handle.image), key
+            etas = ws.scale_gens(tw) if p > 2 else ()
+            scaled = [ws.closure_handle(tw, [conjugate(g, eta) for g in gens]) for eta in etas]
+            for other in [moved, *scaled]:
+                got = ws.decide(other)
+                assert (other.j, other.order_exponent) == (handle.j, handle.order_exponent), key
+                assert (got.has_complement, got.reason, got.style, got.levels) == verdict, key
+                assert not got.has_complement or ws.verify_complement(other, got).passed, key
+                closures += 1
+    assert closures == 252

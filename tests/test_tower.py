@@ -486,21 +486,28 @@ def test_tail_coordinate_perms_level0():
     assert tail_coordinate_perms(T33, 0) == []
 
 
-def test_generator_families_are_one_tuple_per_tower():
-    # shift_gens, scale_gens and co_shift_gens are built once per tower: each
-    # call returns the same tuple, equal to a fresh build, which callers slice;
-    # the co-shifts start at level 1
+def test_generator_families_are_one_object_per_level():
+    # each generator is built once per (tower, level) by its cached builder,
+    # keyed by value, so an equal Tower reads the same object; the family
+    # tuples hold those objects, each equal to a fresh build, and the
+    # co-shifts start at level 1
     for p, n in [(2, 4), (5, 3), (3, 1)]:
         tw = ws.tower(p, n)
-        for family, gen, first in [
+        fresh = {
+            ws.shift_gen: lambda k: level_element(tw, k, (1,)),
+            ws.scale_gen: lambda k: ws.scale_gen.__wrapped__(tw, k),
+            ws.co_shift_gen: lambda k: level_element(tw, k, (0,) + (1,) * (p - 1)),
+        }
+        for family, builder, first in [
             (ws.shift_gens, ws.shift_gen, 0),
             (ws.scale_gens, ws.scale_gen, 0),
             (ws.co_shift_gens, ws.co_shift_gen, 1),
         ]:
             got = family(tw)
-            assert isinstance(got, tuple)
-            assert got == tuple(gen(tw, i) for i in range(first, n))
-            assert family(tw) is got
+            assert isinstance(got, tuple) and len(got) == n - first
+            for k, g in enumerate(got):
+                assert g is builder(tw, first + k) is builder(ws.Tower(p, n), first + k)
+                assert g == fresh[builder](first + k)
 
 
 def test_tail_movers_match_the_scanned_coordinate_perms():
