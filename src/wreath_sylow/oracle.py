@@ -28,8 +28,11 @@ Two pieces carry all of it, one closure kernel and one index:
   The subgroup searches work on these numbers and dedupe subgroups as int
   bitmasks; containment, meeting a normal subgroup and normality are int
   operations, and conjugation is two column reads and two inverse reads.
+  Whether the group's gens generate it is closed once, on first use.
   The complement search reads its trial lifts by one element product each
-  instead of building their columns.
+  instead of building their columns, and skips, before any closure, every
+  lift whose order differs from that of its coset in G/N: a complement
+  maps isomorphically onto G/N, so no complement holds such a lift.
 
 The abelian-subgroup search reads each element's centralizer off the
 columns as one int mask, intersects them along its depth-first path, and
@@ -113,6 +116,7 @@ class _Index:
         self.e = self.pos[group.identity]
         self._cols: list = [None] * len(self.elems)
         self._code = "H" if len(self.elems) <= 1 << 16 else "I"
+        self._gens = group.gens
 
     def col(self, k: int) -> array:
         """Number of elems[i] * elems[k] at position i."""
@@ -139,6 +143,12 @@ class _Index:
         """Number of the inverse of elems[k] at position k."""
         pos = self.pos
         return [pos[x.inverse()] for x in self.elems]
+
+    @cached_property
+    def generated(self) -> bool:
+        """Whether the group's gens generate it (a normal closure's need not), closed once."""
+        size, gens = len(self.elems), map(self.pos.__getitem__, self._gens)
+        return len(_closure([self.e], self.columns(gens), size)) == size
 
     def conjugations(self, gens) -> list:
         """Conjugation y -> g^-1 y g by each of gens, read off its column and the inverses.
@@ -279,10 +289,16 @@ def _complements(group: GroupSet, normal: GroupSet):
     column each), keeping a lift while the closure stays within |G/N| and
     meets N only in e.  Two lifts from one coset differ by a non-identity
     element of N, so only C's own lift survives and each complement is
-    reached on exactly one path.  A trial lift multiplies by one element
-    product per read unless its column is already built (``_Index.right``),
-    so no column is built for it.  The search tree has up to |N| branches per generator, so the cost grows
-    with len(group.gens).
+    reached on exactly one path.
+
+    C's lift of g has the order o_g of gN in G/N, the first m >= 1 with
+    g^m in N, read once per search off g's column.  So a trial lift whose
+    o_g-th power is not e lies in no complement and is skipped before any
+    closure; the reader that takes its powers is its move if it survives.
+    A reader multiplies by one element product per read unless the lift's
+    column is already built (``_Index.right``), so no column is built for
+    a trial lift.  The search tree has up to |N| branches per generator,
+    so the cost grows with len(group.gens).
 
     Refuses an N that is not contained in the group or not normal, or gens
     that do not generate the group (a normal closure's need not): the lifts
@@ -294,21 +310,33 @@ def _complements(group: GroupSet, normal: GroupSet):
     if group.order % normal.order:
         raise ValueError("normal subgroup order does not divide the group order")
     ix = group._index
-    gens = [ix.pos[g] for g in group.gens]
-    if len(_closure([ix.e], ix.columns(gens), group.order)) < group.order:
+    if not ix.generated:
         raise ValueError("the group's gens do not generate it")
+    gens = [ix.pos[g] for g in group.gens]
     in_normal = sorted(ix.pos[x] for x in normal.elements)
     if not ix.is_normal(in_normal, gens):
         raise ValueError("the subgroup is not normal in the group")
     target = group.order // normal.order
     n_mask = ix.mask(in_normal)
+    orders = []  # o_g for each of gens
+    for g in gens:
+        col, x, m = ix.col(g), g, 1
+        while not n_mask >> x & 1:
+            x, m = col[x], m + 1
+        orders.append(m)
 
     def lift(current: set, chosen: tuple, moves: list):
         if len(current) == target:
             yield current, chosen
             return
-        for y in map(ix.col(gens[len(chosen)]).__getitem__, in_normal):
-            grown_moves = moves + [ix.right(y)]
+        k = len(chosen)
+        for y in map(ix.col(gens[k]).__getitem__, in_normal):
+            move, x = ix.right(y), y
+            for _ in range(orders[k] - 1):
+                x = move(x)
+            if x != ix.e:
+                continue
+            grown_moves = moves + [move]
             try:
                 grown = _closure(current, grown_moves, target)
             except CapExceeded:

@@ -1,5 +1,7 @@
+import functools
 import importlib
 import itertools
+import operator
 import random
 from dataclasses import replace
 
@@ -836,9 +838,14 @@ def test_metamorphic_relations_of_the_closure():
     # replacing (g1, g2) by (g1 * g2, g2), presents the same subgroup.  At
     # odd p each scale generator is an automorphism of the tower, so the
     # closure it conjugates to has the same depth, order and verdict.  The
-    # certificate passes on every conjugated closure's complement
-    rng = random.Random(30)
-    closures = 0
+    # certificate passes on every conjugated closure's complement.  Tietze
+    # moves keep the subgroup too: g -> g^k with p not dividing k (g has
+    # p-power order, so g^k generates <g>), and appending the product of the
+    # generators, which keeps the heights wherever the closure reads them.
+    # A random tower element added to the generators can only enlarge the
+    # subgroup: the depth never rises, the order never falls
+    rng, extra_rng = random.Random(30), random.Random(32)  # the second keeps rng's samples
+    closures = rewritten = 0
     for p, n in [(2, 4), (2, 6), (3, 3), (3, 4), (5, 3)]:
         tw = ws.tower(p, n)
         shapes = [(j, kind) for j in range(n) for kind in _feasible_kinds(n, j) for _ in range(2)]
@@ -855,6 +862,19 @@ def test_metamorphic_relations_of_the_closure():
             g1, g2, *others = gens if len(gens) >= 2 else [gens[0], conjugate(gens[0], x)]
             merged = ws.closure_handle(tw, [g1 * g2, g2, *others])
             assert (merged.j, merged.image) == (handle.j, handle.image), key
+            i = extra_rng.randrange(len(gens))
+            k = extra_rng.choice([m for m in range(2, 2 * p + 1) if m % p])
+            powered = [*gens[:i], gens[i] ** k, *gens[i + 1 :]]
+            product = functools.reduce(operator.mul, gens)
+            other = ws.closure_handle(tw, powered)
+            assert (other.j, other.image, other.order_exponent, other.heights) == facts, key
+            other = ws.closure_handle(tw, [*gens, product])
+            assert (other.j, other.image, other.order_exponent) == facts[:3], key
+            # the product's tail image may touch several levels, and then no heights are read
+            assert other.heights in (handle.heights, None), key
+            wider = ws.closure_handle(tw, [*gens, random_element(tw, extra_rng)])
+            assert wider.j <= handle.j and wider.order_exponent >= handle.order_exponent, key
+            rewritten += 3
             etas = ws.scale_gens(tw) if p > 2 else ()
             scaled = [ws.closure_handle(tw, [conjugate(g, eta) for g in gens]) for eta in etas]
             for other in [moved, *scaled]:
@@ -863,4 +883,4 @@ def test_metamorphic_relations_of_the_closure():
                 assert (got.has_complement, got.reason, got.style, got.levels) == verdict, key
                 assert not got.has_complement or ws.verify_complement(other, got).passed, key
                 closures += 1
-    assert closures == 252
+    assert closures == 252 and rewritten == 300

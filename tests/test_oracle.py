@@ -280,6 +280,57 @@ def test_coset_lift_search_matches_extension_search(enumerated):
         assert has_complement(group, normal) == bool(expected)
 
 
+def test_complement_lists_are_pinned(enumerated):
+    # sha256 of each pair's (sorted elements, lifts) list, over the 44 pairs
+    # above: pruning trial lifts must leave every complement, its lifts and
+    # their order as they were
+    cases = [(d["group"], sub) for d in enumerated.values() for sub in d["normals"]]
+    cases += _gallery_pairs()
+    assert len(cases) == 44
+    rows = [[(c.sorted_elements(), c.gens) for c in exhaustive_complements(*case)] for case in cases]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "5ee6efb1e2f1a947bff8ed82775304e1339b802e7c39a558c16f903d981f73cf"
+
+
+def _record_closures(monkeypatch) -> list:
+    # (start, number of moves, cap) of each _closure call
+    calls = []
+    closure = oracle._closure
+
+    def recorded(start, moves, cap):
+        calls.append((set(start), len(moves), cap))
+        return closure(start, moves, cap)
+
+    monkeypatch.setattr(oracle, "_closure", recorded)
+    return calls
+
+
+def test_complement_search_skips_lifts_of_the_wrong_order(enumerated, monkeypatch):
+    # a complement's lift of g has the order of gN in G/N, so every other
+    # trial lift is skipped before any closure is built; and whether the
+    # gens generate the group is closed from {e} once per group, not once
+    # per search.  Fresh GroupSets give cold indexes
+    fresh = [GroupSet(d["group"].elements, d["group"].gens, d["group"].identity) for d in enumerated.values()]
+    pairs = [(group, sub) for group, d in zip(fresh, enumerated.values()) for sub in d["normals"]]
+    assert len(pairs) == 42
+    calls = _record_closures(monkeypatch)
+
+    def generation_checks():
+        # closures of all the gens from {e} within the group's order
+        return sum(
+            (start, moves, cap) == ({group._index.e}, len(group.gens), group.order)
+            for start, moves, cap in calls
+            for group in fresh
+        )
+
+    verdicts = [has_complement(group, sub) for group, sub in pairs]
+    assert len(calls) <= 1500
+    assert generation_checks() == len(fresh)
+    calls.clear()
+    assert [has_complement(group, sub) for group, sub in pairs] == verdicts
+    assert generation_checks() == 0
+
+
 def test_complement_search_rejects_non_normal_subgroup():
     tw = ws.tower(2, 2)
     group = bfs_closure(ws.shift_gens(tw))
