@@ -16,8 +16,8 @@ from .complements import (
     REASON_NOT_SUMMAND,
     REASON_SOCLE_GAP,
     closure_handle,
-    cycle_text,
     decide,
+    decision_json,
     scale_orbit,
     verify_complement,
 )
@@ -88,20 +88,20 @@ def run_decision_case(case: DecisionCase) -> dict:
         ok = ok and decision.levels == case.expect_levels
     if case.expect_reason is not None:
         ok = ok and decision.reason == case.expect_reason
+    report = decision_json(handle, decision)
     detail = {
-        "depth": handle.j,
-        "verdict": "HasComplement" if decision.has_complement else "NoComplement",
-        "style": decision.style,
-        "levels": list(decision.levels),
-        "reason": decision.reason,
-        "complement": list(map(cycle_text, decision.gens)),
+        "depth": report["depth"],
+        "verdict": report["verdict"],
+        "style": report["case"],
+        "levels": report["Z"],
+        "reason": report["reason"],
+        "complement": report["complement_generators"],
     }
     if decision.has_complement:
-        cert = verify_complement(handle, decision)
-        ok = ok and cert.passed
-        detail["certificate"] = dict(cert.checks)
+        ok = ok and all(report["checks"].values())
+        detail["certificate"] = report["checks"]
         if case.expect_complement_exponent is not None:
-            ok = ok and cert.numbers["complement_exponent"] == case.expect_complement_exponent
+            ok = ok and report["orders"]["C"] == case.expect_complement_exponent
     return {"name": case.name, "ok": ok, "detail": detail}
 
 

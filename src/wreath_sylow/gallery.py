@@ -2,8 +2,8 @@
 
 Both reports are computed from scratch with the brute-force machinery: the
 group is enumerated, the distinguished normal subgroup checked, all of its
-complements found by exhaustive search, and the given automorphism pushed
-across the complement list to read off its orbit structure.
+complements found by exhaustive search, and the automorphism, tabulated
+once on the group, read as a permutation of the complement list.
 
 - quaternion central product: the order 16 central product of the
   quaternion group with a cyclic group of order 4 (one shared central
@@ -107,44 +107,46 @@ def _mod9_alpha(g: Mod9Elem) -> Mod9Elem:
 
 def _is_automorphism(group: GroupSet, f) -> bool:
     # each b is a positive word in the gens: f(ag) = f(a)f(g) gives f(ab) = f(a)f(b)
-    elems = group.sorted_elements()
-    if {f(x) for x in elems} != set(elems):
+    elems = group.elements
+    if {f(x) for x in elems} != elems:
         return False
     return all(f(a * g) == f(a) * f(g) for a in elems for g in group.gens)
 
 
-def _orbit_type(complements: list[GroupSet], f) -> list[int]:
-    sets = [c.elements for c in complements]
-    image = [sets.index(frozenset(f(x) for x in s)) for s in sets]
-    seen = set()
-    lengths = []
-    for start in range(len(sets)):
-        if start in seen:
-            continue
+def _orbit_type(action: list) -> list[int]:
+    """The action's cycle lengths, longest first; an image off the list (None) is a ValueError."""
+    if None in action:
+        raise ValueError("the automorphism does not permute the complements")
+    lengths, seen = [], set()
+    for start in range(len(action)):
         k, cur = 0, start
         while cur not in seen:
             seen.add(cur)
-            cur = image[cur]
-            k += 1
-        lengths.append(k)
+            cur, k = action[cur], k + 1
+        if k:
+            lengths.append(k)
     return sorted(lengths, reverse=True)
 
 
-def _report(group: GroupSet, normal: GroupSet, f) -> tuple[list[GroupSet], dict]:
-    """The complements of the normal subgroup, and the report keys both galleries share.
+def _report(group: GroupSet, normal: GroupSet, f) -> tuple[list, dict]:
+    """f's action on the normal subgroup's complements, and the keys both reports share.
 
+    f is called once per element.  Entry k of the action is the number of f(C_k), or None.
     ``exhaustive_complements`` raises ValueError on a subgroup that is not normal.
     """
     complements = exhaustive_complements(group, normal)
-    invariant = [c for c in complements if frozenset(map(f, c.elements)) == c.elements]
-    return complements, {
+    image = dict(zip(group.elements, map(f, group.elements))).__getitem__
+    number = {c.elements: k for k, c in enumerate(complements)}
+    action = [number.get(frozenset(map(image, c.elements))) for c in complements]
+    invariant = sum(k == to for k, to in enumerate(action))
+    return action, {
         "group_order": group.order,
         "normal_order": normal.order,
         "normal_is_normal": True,  # exhaustive_complements refuses a non-normal one
-        "normal_invariant": frozenset(map(f, normal.elements)) == normal.elements,
-        "automorphism_ok": _is_automorphism(group, f),
+        "normal_invariant": frozenset(map(image, normal.elements)) == normal.elements,
+        "automorphism_ok": _is_automorphism(group, image),
         "complement_count": len(complements),
-        "invariant_complements": len(invariant),
+        "invariant_complements": invariant,
         "maschke_property_holds": bool(invariant),
     }
 
@@ -154,28 +156,21 @@ def gallery_quaternion_central() -> dict:
     i, j, x = QCUnit(0, 1, 0), QCUnit(0, 2, 0), QCUnit(0, 0, 1)
     group = bfs_closure([i, j, x], identity=_QC_ONE)
     normal = bfs_closure([i, j], identity=_QC_ONE)
-    complements, report = _report(group, normal, _qc_phi)
+    action, report = _report(group, normal, _qc_phi)
     phi_cubed = all(_qc_phi(_qc_phi(_qc_phi(g))) == g for g in group.elements)
     report["automorphism_ok"] = report["automorphism_ok"] and phi_cubed
-    report["orbit_type"] = _orbit_type(complements, _qc_phi)
+    report["orbit_type"] = _orbit_type(action)
     return report
 
 
 def gallery_mod9() -> dict:
     """Report on the order 3^5 affine group and its negation automorphism."""
-    e = Mod9Elem(0, 0, 0)
-    x = Mod9Elem(0, 0, 1)
-    group = bfs_closure([Mod9Elem(1, 0, 0), Mod9Elem(0, 1, 0), x], cap=300, identity=e)
+    e, x = Mod9Elem(0, 0, 0), Mod9Elem(0, 0, 1)
+    group = bfs_closure([Mod9Elem(1, 0, 0), Mod9Elem(0, 1, 0), x], identity=e)
     # the derived subgroup is the v1 = 0 mod 3 translation plane, generated by (3, 0) and (0, 1)
-    normal = bfs_closure([Mod9Elem(3, 0, 0), Mod9Elem(0, 1, 0), x], cap=300, identity=e)
-    complements, report = _report(group, normal, _mod9_alpha)
-    report["twist_elements_order3"] = all(
-        (Mod9Elem(v1, v2, 1) * Mod9Elem(v1, v2, 1)) * Mod9Elem(v1, v2, 1) == e
-        for v1 in range(9)
-        for v2 in range(9)
-    )
-    sets = {c.elements for c in complements}
-    report["alpha_permutes_complements"] = all(
-        frozenset(map(_mod9_alpha, c.elements)) in sets for c in complements
-    )
+    normal = bfs_closure([Mod9Elem(3, 0, 0), Mod9Elem(0, 1, 0), x], identity=e)
+    action, report = _report(group, normal, _mod9_alpha)
+    twists = [Mod9Elem(v1, v2, 1) for v1 in range(9) for v2 in range(9)]
+    report["twist_elements_order3"] = all(t * t * t == e for t in twists)
+    report["alpha_permutes_complements"] = None not in action
     return report

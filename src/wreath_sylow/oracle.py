@@ -8,9 +8,9 @@ searches with canonical-set deduplication, a complement search that lifts
 the group's generators over the cosets of a normal subgroup (it refuses a
 non-normal one, or one outside the group), and scans of full symmetric
 groups for centralizers.
-Caps guard against accidentally enumerating something huge: the searches
-refuse a group above the fixed ``SEARCH_CAP``, and ``bfs_closure`` takes a
-cap for the closures that are expected to be larger.
+Fixed module caps, read at call time, guard against enumerating something
+huge: ``BFS_CAP`` bounds every ``bfs_closure``, ``SEARCH_CAP`` the groups
+that the searches take, and ``SCAN_DEGREE_CAP`` the centralizer scan.
 
 Two pieces carry all of it, one closure kernel and one index:
 
@@ -198,17 +198,17 @@ def _identity_of(gens: Sequence, identity):
     return g * g.inverse()
 
 
-def bfs_closure(gens: Sequence, cap: int = BFS_CAP, identity=None) -> GroupSet:
+def bfs_closure(gens: Sequence, identity=None) -> GroupSet:
     """Multiplicative closure of the generators, by right cosets (Dimino's method).
 
     <g_0..g_k> is grown from <g_0..g_k-1> by ``_closure``.  Raises
-    CapExceeded exactly when the closure has more than cap elements.
+    CapExceeded exactly when the closure has more than ``BFS_CAP`` elements.
     """
     e = _identity_of(gens, identity)
     moves = [lambda x, g=g: x * g for g in gens]
     members = {e}
     for k in range(len(moves)):
-        members = _closure(members, moves[: k + 1], cap)
+        members = _closure(members, moves[: k + 1], BFS_CAP)
     return GroupSet(frozenset(members), tuple(gens), e)
 
 
@@ -393,6 +393,9 @@ def all_abelian_subgroups(group: GroupSet) -> list[GroupSet]:
     of ``centralizer & ~members``, lowest first.  After g is tried the whole
     coset current * g leaves the candidates: each of its elements gives the
     same join current * <g>, which the search has then already recorded.
+    Only candidates above the last generator are tried: the search first
+    reaches each A along its increasing gens, each the least element of A
+    that the ones before it do not generate, and keeps those gens.
     """
     _check_size(group)
     ix = group._index
@@ -409,8 +412,8 @@ def all_abelian_subgroups(group: GroupSet) -> list[GroupSet]:
     ]
     found = {1 << ix.e: ({ix.e}, ())}  # mask -> (members, gens)
 
-    def extend(current: set, mask: int, gens: tuple, centralizer: int):
-        candidates = centralizer & ~mask
+    def extend(current: set, mask: int, gens: tuple, allowed: int):
+        candidates = allowed & ~mask  # the centralizer of gens, above gens[-1]
         while candidates:
             g = (candidates & -candidates).bit_length() - 1
             candidates &= ~ix.mask(map(ix.col(g).__getitem__, current))
@@ -419,7 +422,7 @@ def all_abelian_subgroups(group: GroupSet) -> list[GroupSet]:
             if grown_mask in found:
                 continue
             found[grown_mask] = (grown, gens + (g,))
-            extend(grown, grown_mask, gens + (g,), centralizer & cent[g])
+            extend(grown, grown_mask, gens + (g,), allowed & cent[g] & -(2 << g))
 
     extend({ix.e}, 1 << ix.e, (), (1 << len(ix.elems)) - 1)
     return ix.sorted_subgroups(found.values())

@@ -242,6 +242,23 @@ def test_cli_corpus_json_is_pinned(capsys):
     assert digest == "188d3ddb4caaa930996a58687a1392fbeb6de7a71ac5b1583aa1db7768dcc490"
 
 
+@pytest.mark.parametrize(
+    "which, fmt, digest",
+    [
+        ("q8c4", "text", "ecff929733225c15cd769e47c8e60579427227e4395abfe7c53a420c8f7fdfee"),
+        ("q8c4", "json", "4d98da884c496cdc7924b6656670bcfb03f305cc5885a9d577136235d21b81f4"),
+        ("mod9", "text", "1ffeed389a406994aeb5888a99d7df514ad6d2ce5959654d88650eedb5ed5d51"),
+        ("mod9", "json", "895a8f4bd30b91fde45f52cee2d30a92719c44a17fee3f089b6a206d71183ccd"),
+    ],
+)
+def test_cli_gallery_is_pinned(capsys, which, fmt, digest):
+    # the recorded output's sha256: reading every key off one automorphism
+    # table and one complement action must leave both reports as they were
+    code, out = run_cli(capsys, "gallery", which, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_oracle_crosscheck_small(capsys):
     code, out = run_cli(
         capsys, "oracle", "crosscheck", "--p", "2", "--n", "2", "--format", "json"

@@ -846,7 +846,7 @@ def test_metamorphic_relations_of_the_closure():
     # subgroup: the depth never rises, the order never falls
     rng, extra_rng = random.Random(30), random.Random(32)  # the second keeps rng's samples
     closures = rewritten = 0
-    for p, n in [(2, 4), (2, 6), (3, 3), (3, 4), (5, 3)]:
+    for p, n in [(2, 4), (2, 6), (3, 3), (3, 4), (5, 3), (2, 8), (3, 5), (7, 3)]:
         tw = ws.tower(p, n)
         shapes = [(j, kind) for j in range(n) for kind in _feasible_kinds(n, j) for _ in range(2)]
         for j, kind in shapes:
@@ -883,4 +883,4 @@ def test_metamorphic_relations_of_the_closure():
                 assert (got.has_complement, got.reason, got.style, got.levels) == verdict, key
                 assert not got.has_complement or ws.verify_complement(other, got).passed, key
                 closures += 1
-    assert closures == 252 and rewritten == 300
+    assert closures == 520 and rewritten == 576

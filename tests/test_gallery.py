@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from wreath_sylow import gallery
 from wreath_sylow.gallery import (
     Mod9Elem,
     QCUnit,
@@ -10,6 +11,7 @@ from wreath_sylow.gallery import (
     _QC_ONE,
     _is_automorphism,
     _mod9_alpha,
+    _orbit_type,
     _qc_phi,
     _report,
     gallery_mod9,
@@ -85,9 +87,7 @@ def test_mod9_derived_subgroup_is_the_plane():
     from wreath_sylow.oracle import derived_subgroup
 
     e = Mod9Elem(0, 0, 0)
-    group = bfs_closure(
-        [Mod9Elem(1, 0, 0), Mod9Elem(0, 1, 0), Mod9Elem(0, 0, 1)], cap=300, identity=e
-    )
+    group = bfs_closure([Mod9Elem(1, 0, 0), Mod9Elem(0, 1, 0), Mod9Elem(0, 0, 1)], identity=e)
     assert group.order == 243
     derived = derived_subgroup(group)
     plane = {Mod9Elem(v1, v2, 0) for v1 in (0, 3, 6) for v2 in range(9)}
@@ -98,8 +98,8 @@ def test_mod9_normal_subgroup_from_three_generators():
     # (3, 0), (0, 1) and x generate what the 27-point plane and x generate
     e, x = Mod9Elem(0, 0, 0), Mod9Elem(0, 0, 1)
     plane = [Mod9Elem(v1, v2, 0) for v1 in (0, 3, 6) for v2 in range(9)]
-    three = bfs_closure([Mod9Elem(3, 0, 0), Mod9Elem(0, 1, 0), x], cap=300, identity=e)
-    assert three.elements == bfs_closure(plane + [x], cap=300, identity=e).elements
+    three = bfs_closure([Mod9Elem(3, 0, 0), Mod9Elem(0, 1, 0), x], identity=e)
+    assert three.elements == bfs_closure(plane + [x], identity=e).elements
     assert three.order == 81
 
 
@@ -116,6 +116,34 @@ def test_gallery_mod9_products_per_call(monkeypatch):
     for calls in (1, 2):
         assert gallery_mod9()["complement_count"] == 54
         assert products <= 4500 * calls
+
+
+@pytest.mark.parametrize(
+    "name, build, most",
+    [("_mod9_alpha", gallery_mod9, 243), ("_qc_phi", gallery_quaternion_central, 64)],
+)
+def test_gallery_automorphism_calls_per_report(monkeypatch, name, build, most):
+    # the report tabulates f on the group's elements and reads every key off
+    # that table; q8c4 adds 48 calls for its phi^3 = 1 check
+    calls = 0
+    f = getattr(gallery, name)
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return f(g)
+
+    monkeypatch.setattr(gallery, name, counted)
+    build()
+    assert calls <= most
+
+
+def test_orbit_type_reads_the_action():
+    assert _orbit_type([1, 2, 0, 4, 3, 5]) == [3, 2, 1]
+    assert _orbit_type([]) == []
+    # an image outside the complement list is a ValueError, which the CLI reports with exit 2
+    with pytest.raises(ValueError, match="does not permute"):
+        _orbit_type([1, None, 0])
 
 
 def test_gallery_mod9_report():
@@ -138,9 +166,7 @@ def test_alpha_is_an_involution():
 
 def test_is_automorphism_rejects_a_non_homomorphic_bijection():
     e = Mod9Elem(0, 0, 0)
-    group = bfs_closure(
-        [Mod9Elem(1, 0, 0), Mod9Elem(0, 1, 0), Mod9Elem(0, 0, 1)], cap=300, identity=e
-    )
+    group = bfs_closure([Mod9Elem(1, 0, 0), Mod9Elem(0, 1, 0), Mod9Elem(0, 0, 1)], identity=e)
     a, b = Mod9Elem(1, 0, 0), Mod9Elem(2, 0, 0)
     swap = {a: b, b: a}
     assert _is_automorphism(group, _mod9_alpha)

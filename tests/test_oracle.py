@@ -41,9 +41,10 @@ def test_bfs_closure_examples():
     assert bfs_closure(ws.shift_gens(ws.tower(2, 3))).order == 128
 
 
-def test_bfs_cap():
+def test_bfs_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "BFS_CAP", 10)
     with pytest.raises(CapExceeded):
-        bfs_closure(ws.shift_gens(ws.tower(3, 2)), cap=10)
+        bfs_closure(ws.shift_gens(ws.tower(3, 2)))
     with pytest.raises(CapExceeded):
         bfs_order(ws.shift_gens(ws.tower(3, 2)), cap=10)
 
@@ -128,6 +129,25 @@ def test_all_normal_subgroups_are_pinned(enumerated):
     }
     for key, digest in pinned.items():
         assert _subgroups_digest(enumerated[key]["normals"]) == digest, key
+
+
+def test_all_abelian_subgroups_are_pinned(enumerated):
+    # sha256 of the (sorted elements, gens) list: trying only candidates above
+    # the last generator must leave the subgroups and their recorded gens
+    pinned = {
+        (2, 2): "19f8375d3a4b5f61caef1439f3b736e5302030844d5dd43e47a994481b85c478",
+        (3, 2): "1bf8cb8a8fa858cc06c2b5fc9ff1c55bf02b62699008e5ddbdff19bc8b0a0972",
+        (2, 3): "9826558e11b57a92417780c006f7adf2982cc480101a5eeaf3b61fc852a4e9bc",
+    }
+    for key, digest in pinned.items():
+        assert _subgroups_digest(all_abelian_subgroups(enumerated[key]["group"])) == digest, key
+
+
+def test_abelian_search_skips_candidates_below_the_last_generator(enumerated, monkeypatch):
+    # 1,400 closures when every candidate is tried; 1,166 above the last generator
+    calls = _record_closures(monkeypatch)
+    assert len(all_abelian_subgroups(enumerated[(2, 3)]["group"])) == 323
+    assert len(calls) <= 1200
 
 
 def test_all_normal_subgroups_are_normal(enumerated):
@@ -264,9 +284,9 @@ def _gallery_pairs():
     i, j, x = QCUnit(0, 1, 0), QCUnit(0, 2, 0), QCUnit(0, 0, 1)
     yield bfs_closure([i, j, x], identity=one), bfs_closure([i, j], identity=one)
     e, t = Mod9Elem(0, 0, 0), Mod9Elem(0, 0, 1)
-    group = bfs_closure([Mod9Elem(1, 0, 0), Mod9Elem(0, 1, 0), t], cap=300, identity=e)
+    group = bfs_closure([Mod9Elem(1, 0, 0), Mod9Elem(0, 1, 0), t], identity=e)
     plane = [Mod9Elem(v1, v2, 0) for v1 in (0, 3, 6) for v2 in range(9)]
-    yield group, bfs_closure(plane + [t], cap=300, identity=e)
+    yield group, bfs_closure(plane + [t], identity=e)
 
 
 def test_coset_lift_search_matches_extension_search(enumerated):
@@ -465,19 +485,22 @@ def _generator_sets(enumerated):
         yield sub.gens, sub.identity
 
 
-def test_bfs_closure_matches_element_walk(enumerated):
-    # the same elements; a cap of exactly |G| passes, and |G| - 1 raises the walk's message
+def test_bfs_closure_matches_element_walk(enumerated, monkeypatch):
+    # the same elements; a BFS_CAP of exactly |G| passes, and |G| - 1 raises the walk's message
     sets = list(_generator_sets(enumerated))
     assert len(sets) == 3 + 4 + 28
+    bound = oracle.BFS_CAP
     for gens, e in sets:
         moves = [lambda x, g=g: x * g for g in gens]
-        walked = walk([e], moves, oracle.BFS_CAP)
-        assert bfs_closure(gens, cap=len(walked), identity=e).elements == walked
+        walked = walk([e], moves, bound)
+        monkeypatch.setattr(oracle, "BFS_CAP", len(walked))
+        assert bfs_closure(gens, identity=e).elements == walked
         if len(walked) == 1:
             continue
         cap = len(walked) - 1
+        monkeypatch.setattr(oracle, "BFS_CAP", cap)
         messages = []
-        for closure in (lambda: bfs_closure(gens, cap, e), lambda: walk([e], moves, cap)):
+        for closure in (lambda: bfs_closure(gens, identity=e), lambda: walk([e], moves, cap)):
             with pytest.raises(CapExceeded) as raised:
                 closure()
             messages.append(str(raised.value))

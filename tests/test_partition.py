@@ -136,7 +136,7 @@ def test_normality_against_oracle_conjugation():
         gens = partition_generators(T33, spec)
         if not gens:
             continue
-        sub = oracle.bfs_closure(gens, cap=3**8)
+        sub = oracle.bfs_closure(gens)
         conj_closed = all(
             ws.conjugate(x, g) in sub.elements
             for x in sub.gens
